@@ -24,6 +24,7 @@ from .invariants import (
     REFERENCE_SPECTRAL_FUNCTIONS,
     ConvergenceError,
     IndeterminateRankError,
+    ScaledPoly,
     charpoly_exact,
     closed_form_A2a,
     defect,
@@ -213,6 +214,12 @@ def cmd_equiv(args) -> int:
 
 # --- claim audit -----------------------------------------------------------
 
+def _catalog_poly(name: str) -> ScaledPoly:
+    """Scaled characteristic polynomial of a catalog matrix."""
+    b = catalog.get(name)
+    return scale(charpoly_exact(b), b.n)
+
+
 def _claim_hadamard() -> ClaimRecord:
     bad = [e.name for e in catalog.entries() if not is_hadamard_exact(e.matrix)]
     ones = ButsonMatrix(3, [[0] * 6 for _ in range(6)])
@@ -234,7 +241,7 @@ def _claim_hadamard() -> ClaimRecord:
 
 
 def _claim_m6_poly() -> ClaimRecord:
-    p = scale(charpoly_exact(catalog.get("M6")), 6)
+    p = _catalog_poly("M6")
     ok = poly_eq(p, REFERENCE_SPECTRAL_FUNCTIONS["M6"])
     return ClaimRecord(
         "C2", "scaled charpoly of M6 equals (x^2-1)^3 coefficientwise",
@@ -243,7 +250,7 @@ def _claim_m6_poly() -> ClaimRecord:
 
 
 def _claim_m61_spectrum() -> ClaimRecord:
-    p = scale(charpoly_exact(catalog.get("M61")), 6)
+    p = _catalog_poly("M61")
     spec = spectrum_numeric(p)
     dist = spectrum_distance(spec, REFERENCE_SPECTRA["M61"])
     ok = dist <= 1e-10
@@ -267,7 +274,7 @@ def _claim_m6_m61_standard() -> ClaimRecord:
 
 def _claim_variant_polys() -> ClaimRecord:
     names = ["A10", "A20", "A30", "A40", "A50", "A60"]
-    polys = {n: scale(charpoly_exact(catalog.get(n)), 6) for n in names}
+    polys = {n: _catalog_poly(n) for n in names}
     mismatched = []
     for n in names:
         if not poly_eq(polys[n], REFERENCE_SPECTRAL_FUNCTIONS[n]):
@@ -291,9 +298,9 @@ def _claim_variant_polys() -> ClaimRecord:
 
 
 def _claim_dephased_collapse() -> ClaimRecord:
-    p01 = scale(charpoly_exact(catalog.get("A01")), 6)
-    p02 = scale(charpoly_exact(catalog.get("A02")), 6)
-    p03 = scale(charpoly_exact(catalog.get("A03")), 6)
+    p01 = _catalog_poly("A01")
+    p02 = _catalog_poly("A02")
+    p03 = _catalog_poly("A03")
     ok = poly_eq(p01, p03) and not poly_eq(p01, p02)
     return ClaimRecord(
         "C6", "A01 and A03 share their spectral function; A02 differs",
@@ -302,9 +309,9 @@ def _claim_dephased_collapse() -> ClaimRecord:
 
 
 def _claim_shared_spectrum() -> ClaimRecord:
-    p1 = scale(charpoly_exact(catalog.get("A1")), 6)
-    p2 = scale(charpoly_exact(catalog.get("A2")), 6)
-    p3 = scale(charpoly_exact(catalog.get("A3")), 6)
+    p1 = _catalog_poly("A1")
+    p2 = _catalog_poly("A2")
+    p3 = _catalog_poly("A3")
     same = poly_eq(p1, p2) and poly_eq(p1, p3)
     dist = spectrum_distance(spectrum_numeric(p1), REFERENCE_SPECTRA["A1"])
     conj_invariant = poly_eq(

@@ -152,15 +152,17 @@ def classify(mats, relation: str) -> list[list[int]]:
     if not mats:
         raise ValueError("classify needs at least one matrix")
     if relation == "unitary":
-        related = unitary_equivalent
+        # One polynomial per matrix; representatives are compared exactly.
+        polys = [scale(charpoly_exact(m), m.n) for m in mats]
+        related = lambda i, j: poly_eq(polys[i], polys[j])
     elif relation == "standard":
-        related = lambda x, y: standard_equivalent(x, y).equivalent
+        related = lambda i, j: standard_equivalent(mats[i], mats[j]).equivalent
     else:
         raise ValueError("relation must be 'standard' or 'unitary'")
     classes: list[list[int]] = []
-    for idx, m in enumerate(mats):
+    for idx in range(len(mats)):
         for cls in classes:
-            if related(mats[cls[0]], m):
+            if related(cls[0], idx):
                 cls.append(idx)
                 break
         else:

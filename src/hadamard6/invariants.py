@@ -1,10 +1,12 @@
 """Spectral and combinatorial invariants.
 
-Characteristic polynomials are computed exactly over Z[zeta_q] by collecting
-the Leibniz expansion degree by degree (principal minors), so the whole
-pipeline up to root finding is division-free integer arithmetic. The scaled
-view absorbs every sqrt(n) power into integer-cyclotomic coefficients, which
-makes spectral-function comparison an exact test.
+Characteristic polynomials are computed exactly over Z[zeta_q] by Berkowitz's
+division-free recurrence, carried out in the group ring Z[x]/(x^q - 1) and
+reduced modulo the q-th cyclotomic polynomial at the end. It costs O(n^4) ring
+operations and has no dimension cap, and the whole pipeline up to root finding
+is integer arithmetic. The scaled view absorbs every sqrt(n) power into
+integer-cyclotomic coefficients, which makes spectral-function comparison an
+exact test.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -67,12 +69,6 @@ class ScaledPoly:
         n = self.n
         return [ek.embed() * n ** (-(n - k) / 2.0) for k, ek in enumerate(self.e)]
 
-    def evaluate(self, x: complex) -> complex:
-        out = 0j
-        for c in reversed(self.complex_coeffs()):
-            out = out * x + c
-        return out
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -88,39 +84,62 @@ class Spectrum:
         return [v for v, m in self.pairs for _ in range(m)]
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    inversions = sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inversions & 1 else 1
+def _rotate(v: list[int], e: int) -> list[int]:
+    # v * zeta^e in Z[x]/(x^q - 1): a cyclic shift of the exponent-indexed vector.
+    q = len(v)
+    return v[q - e:] + v[:q - e]
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    # Product in Z[x]/(x^q - 1), skipping the zero entries of a.
+    out = [0] * len(b)
+    for i, ai in enumerate(a):
+        if ai:
+            out = [o + ai * r for o, r in zip(out, _rotate(b, i))]
+    return out
+
+
+def _dot(row: tuple[int, ...], vecs: list[list[int]], cols: range) -> list[int]:
+    # sum_j zeta^row[j] * vecs[j] over the columns j in cols.
+    out = [0] * len(vecs[0])
+    for v, j in zip(vecs, cols):
+        out = [o + r for o, r in zip(out, _rotate(v, row[j]))]
+    return out
+
+
+def _dot_conv(t: list[list[int]], poly: list[list[int]], i: int) -> list[int]:
+    # Row i of the Toeplitz product: sum_j t[i - j] * poly[j].
+    out = [0] * len(poly[0])
+    for j in range(min(i, len(poly) - 1) + 1):
+        out = [o + r for o, r in zip(out, _convolve(t[i - j], poly[j]))]
+    return out
 
 
 def charpoly_exact(b: ButsonMatrix) -> ExactPoly:
-    """Exact det(xI - B) over Z[zeta_q].
+    """Exact det(xI - B) over Z[zeta_q], by the Samuelson-Berkowitz recurrence.
 
-    The x^(n-k) coefficient is (-1)^k times the sum of the k x k principal
-    minors; every minor term is a signed root of unity, so the sums accumulate
-    in plain integer vectors indexed by exponent.
+    Peeling row and column k off the trailing block A_k = [[a, R], [C, M]]
+    gives charpoly(A_k) = T * charpoly(M), with T the lower-triangular
+    Toeplitz matrix whose first column is 1, -a, -R C, -R M C, -R M^2 C, ...
+    (Berkowitz 1984). The recurrence is division-free and costs O(n^4) ring
+    operations, with no cap on n. Ring elements are integer vectors indexed by
+    exponent in the group ring Z[x]/(x^q - 1), where a matrix entry acts by
+    rotation; each coefficient is reduced modulo the q-th cyclotomic
+    polynomial once at the end, which is a ring homomorphism onto Z[zeta_q].
     """
     n, q, e = b.n, b.q, b.exponents
-    if n > 8:
-        raise ValueError("exact characteristic polynomial is limited to n <= 8")
-    acc = [[0] * q for _ in range(n + 1)]  # acc[k][m]: zeta^m count in the k-minor sum
-    acc[0][0] = 1
-    for k in range(1, n + 1):
-        vec = acc[k]
-        for subset in combinations(range(n), k):
-            for perm in permutations(range(k)):
-                s = 0
-                for pos in range(k):
-                    s += e[subset[pos]][subset[perm[pos]]]
-                vec[s % q] += _perm_sign(perm)
-    coeffs = [None] * (n + 1)
-    for k in range(n + 1):
-        sign = -1 if k & 1 else 1
-        coeffs[n - k] = CycInt(q, [sign * v for v in acc[k]])
-    return ExactPoly(q, tuple(coeffs))
+    one = [1] + [0] * (q - 1)
+    poly = [one]  # charpoly of the empty trailing block, leading coefficient first
+    for k in range(n - 1, -1, -1):
+        rest = range(k + 1, n)
+        t = [one, [-c for c in _rotate(one, e[k][k])]]
+        col = [_rotate(one, e[i][k]) for i in rest]  # M^j C, starting at j = 0
+        for j in rest:
+            if j > k + 1:
+                col = [_dot(e[i], col, rest) for i in rest]
+            t.append([-c for c in _dot(e[k], col, rest)])
+        poly = [_dot_conv(t, poly, i) for i in range(len(poly) + 1)]
+    return ExactPoly(q, tuple(CycInt(q, poly[n - d]) for d in range(n + 1)))
 
 
 def scale(p: ExactPoly, n: int) -> ScaledPoly:

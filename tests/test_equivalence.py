@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hadamard6 import catalog
+from hadamard6 import catalog, equivalence
 from hadamard6.equivalence import (
     EquivVerdict,
     Witness,
@@ -11,6 +11,7 @@ from hadamard6.equivalence import (
     standard_equivalent,
     unitary_equivalent,
 )
+from hadamard6.invariants import charpoly_exact
 from hadamard6.matrices import ButsonMatrix, PhaseVector, rephase
 
 rng = random.Random(99)
@@ -156,13 +157,23 @@ def test_dimension_mismatch_rejected():
         standard_equivalent(catalog.get("A1"), ButsonMatrix(3, [[0]]))
 
 
-def test_classify_unitary_counts():
-    variants = [catalog.get(n) for n in ("A10", "A20", "A30", "A40", "A50", "A60")]
-    assert classify(variants, "unitary") == [[0], [1], [2], [3], [4], [5]]
-    dephased = [catalog.get(n) for n in ("A01", "A02", "A03")]
-    assert classify(dephased, "unitary") == [[0, 2], [1]]
-    diag = [catalog.get(n) for n in ("A1", "A2", "A3")]
-    assert classify(diag, "unitary") == [[0, 1, 2]]
+def test_classify_unitary_counts(monkeypatch):
+    calls = []
+
+    def counting(b):
+        calls.append(b)
+        return charpoly_exact(b)
+
+    monkeypatch.setattr(equivalence, "charpoly_exact", counting)
+    for names, expected in (
+        (("A10", "A20", "A30", "A40", "A50", "A60"), [[0], [1], [2], [3], [4], [5]]),
+        (("A01", "A02", "A03"), [[0, 2], [1]]),
+        (("A1", "A2", "A3"), [[0, 1, 2]]),
+    ):
+        calls.clear()
+        mats = [catalog.get(n) for n in names]
+        assert classify(mats, "unitary") == expected
+        assert calls == mats  # one polynomial per matrix, none recomputed
 
 
 def test_classify_standard():

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hadamard6.invariants import (
     ExactPoly,
     IndeterminateRankError,
     ScaledPoly,
+    _horner,
     charpoly_exact,
     closed_form_A2a,
     defect,
@@ -58,9 +60,58 @@ def test_charpoly_two_by_two_hand_value():
     assert [tuple(c.coeffs) for c in p.coeffs] == [(-2,), (0,), (1,)]
 
 
-def test_charpoly_rejects_large_dimension():
-    with pytest.raises(ValueError):
-        charpoly_exact(ButsonMatrix(2, [[0] * 9 for _ in range(9)]))
+def _perm_sign(perm):
+    inversions = sum(
+        1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+        if perm[a] > perm[b]
+    )
+    return -1 if inversions & 1 else 1
+
+
+def leibniz_charpoly(b):
+    """Reference det(xI - B): the x^(n-k) coefficient is (-1)^k times the sum
+    of the k x k principal minors, each expanded over all permutations."""
+    n, q, e = b.n, b.q, b.exponents
+    acc = [[0] * q for _ in range(n + 1)]  # acc[k][m]: zeta^m count in the k-minor sum
+    acc[0][0] = 1
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            for perm in permutations(range(k)):
+                s = sum(e[subset[pos]][subset[perm[pos]]] for pos in range(k))
+                acc[k][s % q] += _perm_sign(perm)
+    return ExactPoly(q, tuple(
+        CycInt(q, [(-1) ** (n - d) * v for v in acc[n - d]]) for d in range(n + 1)))
+
+
+def test_charpoly_matches_leibniz_on_catalog():
+    for name in catalog.names():
+        b = catalog.get(name)
+        assert charpoly_exact(b) == leibniz_charpoly(b), name
+
+
+def test_charpoly_matches_leibniz_on_random_grids():
+    local = random.Random(1984)
+    for q in (1, 2, 3, 4, 5, 6, 8, 12):
+        for n in range(1, 8):
+            b = ButsonMatrix(q, [[local.randrange(q) for _ in range(n)] for _ in range(n)])
+            assert charpoly_exact(b) == leibniz_charpoly(b), (q, b.exponents)
+
+
+def test_charpoly_matches_sympy_beyond_dimension_eight():
+    sympy = pytest.importorskip("sympy")
+    z, x = sympy.symbols("z x")
+    n, q = 9, 12
+    local = random.Random(912)
+    grid = [[local.randrange(q) for _ in range(n)] for _ in range(n)]
+    ref = sympy.Matrix(n, n, lambda i, j: z ** grid[i][j]).charpoly(x)
+    phi = sympy.cyclotomic_poly(q, z)
+    width = phi.as_poly(z).degree()
+    expected = []
+    for c in reversed(ref.all_coeffs()):
+        low = [int(v) for v in reversed(sympy.Poly(sympy.rem(c, phi, z), z).all_coeffs())]
+        expected.append(tuple(low + [0] * (width - len(low))))
+    got = charpoly_exact(ButsonMatrix(q, grid))
+    assert [c.coeffs for c in got.coeffs] == expected
 
 
 def test_charpoly_is_monic():
@@ -189,7 +240,7 @@ def test_spectrum_roots_satisfy_polynomial_and_are_unimodular():
         assert spec.n == 6
         product = 1 + 0j
         for v in spec.values():
-            assert abs(p.evaluate(v)) <= 1e-8
+            assert abs(_horner(p.complex_coeffs(), v)) <= 1e-8
             assert abs(abs(v) - 1.0) <= 1e-8
             product *= v
         assert abs(abs(product) - 1.0) <= 1e-8
