@@ -7,16 +7,32 @@ exact matching of dephased column vectors, which enumerates the same set as a
 blind double loop. Dephasing cancels arbitrary unimodular diagonals, so the
 decision procedure is complete even though returned witnesses carry only
 q-th-root phases.
+
+The search runs in two steps. A numpy screen takes the row permutations in
+blocks and, for every first column c0, compares sorted integer codes of the
+dephased columns with those of the target; each flagged (row permutation, c0)
+pair is then confirmed by the exact column match, in enumeration order. A
+code reads a column's n-1 exponents as digits in base q modulo 2**64, so it
+is exact while q**(n-1) <= 2**64 and a hash beyond that. Equal columns always
+get equal codes, so the screen never drops a match; a hash collision only
+costs one rejected confirmation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
+
+import numpy as np
 
 from .invariants import charpoly_exact, haagerup_set, poly_eq, scale
 from .matrices import ButsonMatrix, PhaseVector, dephase
+
+# Largest block of row permutations screened at once. Blocks grow 1, 2, 4, ...
+# up to this size, so an early hit costs about one permutation's work, and each
+# (B, n-1, n, n) screen temporary stays under 1 MB for n <= 8.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,16 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     one exists; the witness is verified by apply_witness before returning.
     With prescreen enabled a Haagerup multiset mismatch refutes immediately
     (equal multisets are a necessary condition for equivalence).
+
+    Row permutations are taken in itertools order, in blocks of 1, 2, 4, ...
+    up to _BLOCK. Each block is screened in numpy: the permuted grid is
+    dephased against its first row and, for each c0, against column c0, and
+    the sorted base-q codes of its columns are compared with the target's.
+    The codes are exact while q**(n-1) <= 2**64 and a hash (wrapping mod
+    2**64) beyond, so every flagged (row permutation, c0) goes through the
+    exact column match before a witness is built. search_stats is the
+    1-based position of the row permutation that gave the witness, or n! for
+    a miss.
     """
     if b1.n != b2.n:
         raise ValueError("matrices of different dimension are not comparable")
@@ -95,35 +121,75 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     for j in range(1, n):
         key = tuple(target.entry(i, j) for i in range(1, n))
         want.setdefault(key, []).append(j)
+    weights = np.array([pow(q, i, 1 << 64) for i in range(n - 1)], dtype=np.uint64)
+    dephased = np.array(target.exponents, dtype=np.int64)
+    want_codes = _sorted_codes(dephased[None, 1:], weights, q)[0, 0]
 
     eb = b.exponents
-    examined = 0
-    for sigma in permutations(range(n)):
-        examined += 1
-        # Left-dephased columns of the row-permuted candidate.
-        cols = [tuple((eb[sigma[i]][c] - eb[sigma[0]][c]) % q for i in range(1, n))
-                for c in range(n)]
-        for c0 in range(n):
-            base = cols[c0]
-            have: dict[tuple[int, ...], list[int]] = {}
-            for c in range(n):
-                if c != c0:
-                    key = tuple((cols[c][i] - base[i]) % q for i in range(n - 1))
-                    have.setdefault(key, []).append(c)
-            if {k: len(v) for k, v in want.items()} != {k: len(v) for k, v in have.items()}:
+    grid = np.array(eb, dtype=np.int64)
+    perms = permutations(range(n))
+    examined, size = 0, 1
+    while block := list(islice(perms, size)):
+        rows = grid[np.array(block)]
+        flags = (_sorted_codes(rows[:, 1:] - rows[:, :1], weights, q) == want_codes).all(axis=2)
+        for k, c0 in zip(*np.nonzero(flags)):
+            sigma = block[k]
+            tau = _match_columns(eb, sigma, int(c0), want, q)
+            if tau is None:
                 continue
-            # Duplicate keys are interchangeable, so ascending assignment per
-            # key yields the lexicographically smallest column permutation.
-            tau = [0] * n
-            tau[0] = c0
-            for key, js in want.items():
-                for j, c in zip(js, have[key]):
-                    tau[j] = c
-            witness = _build_witness(a, b, sigma, tuple(tau), q)
+            witness = _build_witness(a, b, sigma, tau, q)
             if apply_witness(witness, b) != a:
                 raise RuntimeError("witness verification failed; search is inconsistent")
-            return EquivVerdict(True, witness, examined)
+            return EquivVerdict(True, witness, examined + int(k) + 1)
+        examined += len(block)
+        size = min(2 * size, _BLOCK)
     return EquivVerdict(False, None, examined)
+
+
+def _sorted_codes(rows: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
+    """Screen codes of row-dephased grids rows[B, n-1, n], for every c0.
+
+    Entry [k, c0] holds the n column codes of grid k after dephasing against
+    column c0, sorted; column c0 itself has code 0. The differences lie in
+    (-2q, 2q), which fits int64 because ButsonMatrix caps q at 2**62.
+    """
+    # One (B, n-1, n, n) temporary, updated in place: digits in [0, q) have
+    # the same bits as int64 and uint64, and uint64 products wrap mod 2**64.
+    digits = rows[:, :, None, :] - rows[:, :, :, None]
+    digits %= q
+    terms = digits.view(np.uint64)
+    terms *= weights[:, None, None]
+    codes = terms.sum(axis=1, dtype=np.uint64)
+    codes.sort(axis=2)
+    return codes
+
+
+def _match_columns(eb, sigma: tuple[int, ...], c0: int,
+                   want: dict[tuple[int, ...], list[int]], q: int) -> tuple[int, ...] | None:
+    """Exact column match of row permutation sigma with first column c0.
+
+    Returns the smallest compatible column permutation, or None.
+    """
+    n = len(sigma)
+    # Left-dephased columns of the row-permuted candidate.
+    cols = [tuple((eb[sigma[i]][c] - eb[sigma[0]][c]) % q for i in range(1, n))
+            for c in range(n)]
+    base = cols[c0]
+    have: dict[tuple[int, ...], list[int]] = {}
+    for c in range(n):
+        if c != c0:
+            key = tuple((cols[c][i] - base[i]) % q for i in range(n - 1))
+            have.setdefault(key, []).append(c)
+    if {k: len(v) for k, v in want.items()} != {k: len(v) for k, v in have.items()}:
+        return None
+    # Duplicate keys are interchangeable, so ascending assignment per
+    # key yields the lexicographically smallest column permutation.
+    tau = [0] * n
+    tau[0] = c0
+    for key, js in want.items():
+        for j, c in zip(js, have[key]):
+            tau[j] = c
+    return tuple(tau)
 
 
 def _build_witness(a: ButsonMatrix, b: ButsonMatrix, sigma: tuple[int, ...],

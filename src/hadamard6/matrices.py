@@ -15,6 +15,10 @@ import numpy as np
 
 from .cyclo import CycInt
 
+# Largest accepted root order. Exponent sums and differences such as
+# e_ij + e_kl - e_il - e_kj lie in (-2q, 2q), which must fit numpy's int64.
+MAX_ORDER = 1 << 62
+
 
 @dataclass(frozen=True)
 class PhaseVector:
@@ -40,6 +44,8 @@ class ButsonMatrix:
     def __init__(self, q: int, exponents) -> None:
         if q < 1:
             raise ValueError("root order must be positive")
+        if q > MAX_ORDER:
+            raise ValueError(f"root order {q} exceeds the supported maximum 2**62")
         rows = tuple(tuple(int(e) % q for e in row) for row in exponents)
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):

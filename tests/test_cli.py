@@ -75,6 +75,13 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert run(capsys, "verify", str(path))[0] == 2
 
 
+def test_root_order_too_large_exits_2(capsys, tmp_path):
+    q = 1 << 70
+    path = tmp_path / "big.txt"
+    path.write_text(f"BH {q} 2\n0 0\n0 {q // 2}\n")
+    assert run(capsys, "equiv", "standard", str(path), str(path)) == (2, "")
+
+
 def test_charpoly_json_matches_library(capsys):
     code, out = run(capsys, "charpoly", "A10", "--json")
     assert code == 0

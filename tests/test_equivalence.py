@@ -189,3 +189,152 @@ def test_classify_validates():
         classify([], "unitary")
     with pytest.raises(ValueError):
         classify([catalog.get("A1")], "spectral")
+
+
+# --- the block screen against the per-permutation search it replaced ------
+
+def reference_standard(b1, b2, prescreen=True):
+    """The pure-Python search: one row permutation per iteration, exact keys."""
+    from itertools import permutations
+    from hadamard6.invariants import haagerup_set
+    from hadamard6.matrices import dephase
+
+    a, b, q = equivalence._common_order(b1, b2)
+    n = a.n
+    if prescreen and haagerup_set(a) != haagerup_set(b):
+        return EquivVerdict(False, None, 0)
+    target = dephase(a)[0]
+    want = {}
+    for j in range(1, n):
+        want.setdefault(tuple(target.entry(i, j) for i in range(1, n)), []).append(j)
+    eb = b.exponents
+    examined = 0
+    for sigma in permutations(range(n)):
+        examined += 1
+        cols = [tuple((eb[sigma[i]][c] - eb[sigma[0]][c]) % q for i in range(1, n))
+                for c in range(n)]
+        for c0 in range(n):
+            have = {}
+            for c in range(n):
+                if c != c0:
+                    key = tuple((cols[c][i] - cols[c0][i]) % q for i in range(n - 1))
+                    have.setdefault(key, []).append(c)
+            if {k: len(v) for k, v in want.items()} != {k: len(v) for k, v in have.items()}:
+                continue
+            tau = [0] * n
+            tau[0] = c0
+            for key, js in want.items():
+                for j, c in zip(js, have[key]):
+                    tau[j] = c
+            witness = equivalence._build_witness(a, b, sigma, tuple(tau), q)
+            assert apply_witness(witness, b) == a
+            return EquivVerdict(True, witness, examined)
+    return EquivVerdict(False, None, examined)
+
+
+def random_grid(r, n, q):
+    return ButsonMatrix(q, [[r.randrange(q) for _ in range(n)] for _ in range(n)])
+
+
+def random_transform(r, b, lift=1):
+    """D1 P1 b P2 D2 over order q*lift, with random permutations and phases."""
+    b = b.to_order(b.q * lift)
+    rp, cp = list(range(b.n)), list(range(b.n))
+    r.shuffle(rp)
+    r.shuffle(cp)
+    left = PhaseVector(b.q, tuple(r.randrange(b.q) for _ in range(b.n)))
+    right = PhaseVector(b.q, tuple(r.randrange(b.q) for _ in range(b.n)))
+    return rephase(b.permuted(rp, cp), left, right)
+
+
+def transposed(b):
+    return ButsonMatrix(b.q, list(zip(*b.exponents)))
+
+
+def oracle_pairs():
+    """Seeded hits, transpose misses and unrelated pairs, n = 1..6 and two at n = 7."""
+    r = random.Random(2024)
+    pairs = []
+    for idx in range(48):
+        n = 1 + idx % 6
+        q = r.choice((1, 2, 3, 4, 5, 6, 8, 12))
+        b = random_grid(r, n, q)
+        kind = (idx // 6) % 3
+        if kind == 0:
+            other = random_transform(r, b, lift=r.choice((1, 1, 2, 3)))
+        elif kind == 1:
+            other = random_transform(r, transposed(b), lift=r.choice((1, 2)))
+        else:
+            other = random_grid(r, n, r.choice((1, 2, 3, 4, 5, 6, 8, 12)))
+        pairs.append((b, other))
+    b7 = random_grid(r, 7, 6)
+    pairs.append((b7, random_transform(r, b7, lift=2)))
+    pairs.append((b7, random_transform(r, transposed(b7))))
+    return pairs
+
+
+def test_screen_matches_reference_on_catalog_pairs():
+    # Past the prescreen the search ignores the flag, so one reference run
+    # covers both modes unless the prescreen refutes. Every catalog miss is
+    # refuted that way (different Haagerup multisets, which equivalent
+    # matrices share), so without prescreen the reference can only answer a
+    # miss after 720 row permutations; at ~50 ms per such run it is run in
+    # full once, on C8's A1 vs F6.
+    mats = [catalog.get(name) for name in catalog.names()]
+    exhaustive_miss = EquivVerdict(False, None, 720)
+    for x in mats:
+        for y in mats:
+            # Verdicts compare on (equivalent, witness, search_stats).
+            pre = reference_standard(x, y)
+            assert standard_equivalent(x, y) == pre
+            full = pre if pre.search_stats else exhaustive_miss
+            assert standard_equivalent(x, y, prescreen=False) == full
+    a1, f6 = catalog.get("A1"), catalog.get("F6")
+    assert reference_standard(a1, f6, prescreen=False) == exhaustive_miss
+
+
+def test_screen_matches_reference_on_random_pairs():
+    for x, y in oracle_pairs():
+        pre = reference_standard(x, y)
+        assert standard_equivalent(x, y) == pre
+        full = pre if pre.search_stats else reference_standard(x, y, prescreen=False)
+        assert standard_equivalent(x, y, prescreen=False) == full
+
+
+def test_hash_collisions_are_rejected_by_the_exact_match(monkeypatch):
+    # With q = 2**16 and n = 6 the top digit weight q**5 = 2**80 is 0 mod 2**64,
+    # so the screen codes ignore the last row of every key: changing b's last
+    # row by a non-constant vector makes false candidates that only the exact
+    # match can reject.
+    r = random.Random(7)
+    q, n = 1 << 16, 6
+    a = random_grid(r, n, q)
+    shift = [r.randrange(q) for _ in range(n)]
+    shift[0] = (shift[1] + 1) % q
+    b = ButsonMatrix(q, list(a.exponents[:-1]) + [[e + s for e, s in zip(a.exponents[-1], shift)]])
+    outcomes = []
+    match = equivalence._match_columns
+
+    def counting(*args):
+        tau = match(*args)
+        outcomes.append(tau)
+        return tau
+
+    monkeypatch.setattr(equivalence, "_match_columns", counting)
+    verdict = standard_equivalent(a, b, prescreen=False)
+    assert not verdict.equivalent and verdict.search_stats == 720
+    assert verdict == reference_standard(a, b, prescreen=False)
+    assert outcomes.count(None) >= 1
+
+
+def test_largest_root_order_does_not_overflow():
+    # At q = 2**62 the screen's differences reach (-2q, 2q), the edge of int64.
+    from hadamard6.matrices import MAX_ORDER
+    r = random.Random(11)
+    a = random_grid(r, 4, MAX_ORDER)
+    hit = random_transform(r, a)
+    for other in (hit, random_transform(r, transposed(a))):
+        for prescreen in (True, False):
+            want = reference_standard(a, other, prescreen=prescreen)
+            assert standard_equivalent(a, other, prescreen=prescreen) == want
+    assert standard_equivalent(a, hit).equivalent

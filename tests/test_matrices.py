@@ -5,6 +5,7 @@ import pytest
 
 from hadamard6 import catalog
 from hadamard6.matrices import (
+    MAX_ORDER,
     ButsonMatrix,
     PhaseVector,
     dephase,
@@ -34,6 +35,16 @@ def test_from_exponents_rejects_non_square():
         ButsonMatrix(3, [[0, 1], [0, 1], [0, 1]])
     with pytest.raises(ValueError):
         ButsonMatrix(3, [])
+
+
+def test_root_order_above_2_62_rejected():
+    # Exponent sums and differences in (-2q, 2q) must fit numpy's int64.
+    big = ButsonMatrix(MAX_ORDER, [[0, 1], [1, MAX_ORDER - 1]])
+    assert big.q == 1 << 62
+    with pytest.raises(ValueError):
+        ButsonMatrix(MAX_ORDER + 1, [[0]])
+    with pytest.raises(ValueError):
+        big.to_order(2 * MAX_ORDER)
 
 
 def test_all_zero_grid_is_all_ones_matrix():
