@@ -1,6 +1,6 @@
 """Exact toolkit for the 6x6 Butson-type complex Hadamard catalog."""
 
-from .cyclo import CycInt, OrderMismatchError, cyclotomic_coeffs, euler_phi, zeta_pow
+from .cyclo import CycInt, OrderMismatchError, cyclotomic_coeffs, euler_phi
 from .matrices import (
     ButsonMatrix,
     PhaseVector,
@@ -58,5 +58,5 @@ __all__ = [
     "format_matrix", "get", "haagerup_set", "is_hadamard_exact",
     "is_hadamard_numeric", "names", "parse_matrix", "poly_eq", "rephase",
     "scale", "spectrum_distance", "spectrum_numeric", "standard_equivalent",
-    "unitary_equivalent", "zeta_pow",
+    "unitary_equivalent",
 ]

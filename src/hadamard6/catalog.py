@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclo import CycInt
 from .matrices import ButsonMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _W = CycInt.zeta(3)
 _ROOTS3 = (CycInt.from_int(3, 1), _W, _W * _W)
@@ -246,6 +248,8 @@ def agaian_symmetric(a: float) -> np.ndarray:
     """Real symmetric family: the A2 pattern with w replaced by a real number a."""
     if not math.isfinite(a):
         raise ValueError("parameter must be a finite real number")
+    import numpy as np
+
     pattern = get("A2").exponents
     a = float(a)
     values = (1.0, a, a * a)
@@ -307,12 +311,5 @@ def entries() -> list[CatalogEntry]:
 def get(name: str) -> ButsonMatrix:
     try:
         return _CATALOG[name].matrix
-    except KeyError:
-        raise KeyError(f"unknown catalog name {name!r}; known: {', '.join(_CATALOG)}")
-
-
-def entry(name: str) -> CatalogEntry:
-    try:
-        return _CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown catalog name {name!r}; known: {', '.join(_CATALOG)}")

@@ -14,8 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import catalog
 from .equivalence import apply_witness, classify, standard_equivalent, unitary_equivalent
@@ -43,6 +42,9 @@ from .matrices import (
     is_hadamard_numeric,
     parse_matrix,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -339,6 +341,8 @@ def _claim_standard_classes() -> ClaimRecord:
 
 
 def _claim_isolation() -> ClaimRecord:
+    import numpy as np
+
     d1 = defect(catalog.get("A1"))
     df = defect(catalog.get("F6"))
     sig1 = np.linalg.svd(deformation_system(catalog.get("A1")), compute_uv=False)
@@ -366,6 +370,8 @@ def _claim_class_counts() -> ClaimRecord:
 
 
 def _claim_symmetric_family() -> ClaimRecord:
+    import numpy as np
+
     rt6 = math.sqrt(6.0)
     notes = []
     identities_ok = True

@@ -209,7 +209,3 @@ class CycInt:
             return "0"
         out = "".join(terms)
         return out[1:] if out.startswith("+") else out
-
-
-def zeta_pow(q: int, power: int) -> CycInt:
-    return CycInt.zeta(q, power)

@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .invariants import charpoly_exact, haagerup_set, poly_eq, scale
 from .matrices import ButsonMatrix, PhaseVector, dephase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest block of row permutations screened at once. Blocks grow 1, 2, 4, ...
 # up to this size, so an early hit costs about one permutation's work, and each
@@ -114,6 +116,7 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     n = a.n
     if prescreen and haagerup_set(a) != haagerup_set(b):
         return EquivVerdict(False, None, 0)
+    import numpy as np
 
     target = dephase(a)[0]
     # Column keys of the dephased target, rows 1..n-1 (row 0 is identically 0).
@@ -153,6 +156,8 @@ def _sorted_codes(rows: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
     column c0, sorted; column c0 itself has code 0. The differences lie in
     (-2q, 2q), which fits int64 because ButsonMatrix caps q at 2**62.
     """
+    import numpy as np
+
     # One (B, n-1, n, n) temporary, updated in place: digits in [0, q) have
     # the same bits as int64 and uint64, and uint64 products wrap mod 2**64.
     digits = rows[:, :, None, :] - rows[:, :, :, None]

@@ -16,11 +16,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclo import CycInt
 from .matrices import ButsonMatrix, is_hadamard_exact
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConvergenceError(RuntimeError):
@@ -237,8 +239,8 @@ def spectrum_numeric(p: ScaledPoly, tol: float = 1e-8,
     double precision, roughly eps^(1/m) for an m-fold root (5e-6 at m = 3),
     while staying far below the separation of distinct catalog roots (> 0.1).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be a positive finite number")
     coeffs = p.complex_coeffs()
     raw = _durand_kerner(coeffs)
     pairs = []
@@ -277,6 +279,8 @@ def spectrum_distance(spec: Spectrum, reference) -> float:
 
 def haagerup_set(b: ButsonMatrix) -> Counter:
     """Multiset of e_ij + e_kl - e_il - e_kj mod q over all index quadruples."""
+    import numpy as np
+
     e = np.array(b.exponents, dtype=np.int64)
     quad = (e[:, None, :, None] + e[None, :, None, :]
             - e[:, None, None, :] - e[None, :, :, None]) % b.q
@@ -291,6 +295,8 @@ def deformation_system(b: ButsonMatrix) -> np.ndarray:
     row pair i < j contributes the real and imaginary parts of
     sum_k H_ik conj(H_jk) (R_ik - R_jk) = 0.
     """
+    import numpy as np
+
     h = b.to_complex()
     n = b.n
     rows = []
@@ -309,10 +315,15 @@ def rank_from_singular_values(sigmas, tol: float) -> int:
     """Count singular values above the cut, refusing the band (tol, 10*tol).
 
     Ratios against the largest singular value below tol count as zero; a ratio
-    strictly inside the band means the rank cannot be certified.
+    strictly inside the band means the rank cannot be certified. The cut
+    10*tol must lie below 1, or not even the largest singular value counts.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be a positive finite number")
+    if 10.0 * tol >= 1.0:
+        raise ValueError(f"tolerance {tol!r} leaves no room below the largest singular value")
+    import numpy as np
+
     sigmas = np.asarray(sigmas, dtype=np.float64)
     smax = float(np.max(sigmas))
     if smax == 0.0:
@@ -329,13 +340,22 @@ def defect(b: ButsonMatrix, tol: float = 1e-8) -> int:
     """Isolation certificate: 0 means no first-order deformations beyond phases.
 
     Rank is decided by singular values; anything in (tol, 10*tol) times the
-    largest singular value is refused rather than silently classified.
+    largest singular value is refused rather than silently classified. The
+    2n - 1 phase directions always lie in the kernel, so a rank above
+    n^2 - (2n - 1) means the cut counted rounding noise and is refused too.
     """
     if not is_hadamard_exact(b):
         raise ValueError("defect is defined for Hadamard matrices only")
+    import numpy as np
+
     sigmas = np.linalg.svd(deformation_system(b), compute_uv=False)
     rank = rank_from_singular_values(sigmas, tol)
     n = b.n
+    if rank > n * n - (2 * n - 1):
+        raise IndeterminateRankError(
+            f"rank {rank} exceeds n^2 - (2n - 1) = {n * n - (2 * n - 1)}; "
+            "the cut counted rounding noise"
+        )
     return n * n - rank - (2 * n - 1)
 
 
@@ -346,6 +366,8 @@ def eig_real_symmetric(m: np.ndarray, tol: float = 1e-10) -> list[float]:
     trace identity and the eigenvector residuals are checked against tol
     before returning; eigenvalues come back sorted ascending.
     """
+    import numpy as np
+
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")

@@ -4,16 +4,23 @@ A Butson matrix of order q is stored as an n x n grid of root-of-unity
 exponents reduced mod q. General complex matrices are plain numpy arrays of
 complex128; the only places they appear are the numeric verification path and
 the real symmetric family.
+
+numpy is imported inside the functions that build arrays, never at module
+level, so the exact paths run without it: `catalog`, `charpoly`, `spectrum`,
+`dephase`, `equiv unitary` and `verify` on a BH grid never load numpy, while
+`defect`, `equiv standard`, `verify` on a C grid and `report` do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclo import CycInt
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest accepted root order. Exponent sums and differences such as
 # e_ij + e_kl - e_il - e_kj lie in (-2q, 2q), which must fit numpy's int64.
@@ -53,10 +60,6 @@ class ButsonMatrix:
         self._q = q
         self._exponents = rows
 
-    @classmethod
-    def from_exponents(cls, q: int, grid) -> ButsonMatrix:
-        return cls(q, grid)
-
     @property
     def q(self) -> int:
         return self._q
@@ -76,6 +79,8 @@ class ButsonMatrix:
         return CycInt.zeta(self._q, self._exponents[i][j])
 
     def to_complex(self) -> np.ndarray:
+        import numpy as np
+
         roots = [
             complex(math.cos(2.0 * math.pi * m / self._q),
                     math.sin(2.0 * math.pi * m / self._q))
@@ -132,8 +137,10 @@ def is_hadamard_exact(b: ButsonMatrix) -> bool:
 
 def is_hadamard_numeric(m: np.ndarray, tol: float) -> bool:
     """Float check: unimodular entries and M M* = n I within tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be a positive finite number")
+    import numpy as np
+
     m = np.asarray(m, dtype=np.complex128)
     n = m.shape[0]
     if m.shape != (n, n):
@@ -179,6 +186,8 @@ def format_matrix(m: ButsonMatrix | np.ndarray) -> str:
         lines = [f"BH {m.q} {m.n}"]
         lines += [" ".join(str(e) for e in row) for row in m.exponents]
         return "\n".join(lines) + "\n"
+    import numpy as np
+
     arr = np.asarray(m, dtype=np.complex128)
     n = arr.shape[0]
     if arr.shape != (n, n):
@@ -226,5 +235,7 @@ def parse_matrix(text: str) -> ButsonMatrix | np.ndarray:
                     raise ValueError(f"complex token must be 're,im', got {tok!r}")
                 row.append(complex(float(re_s), float(im_s)))
             rows.append(row)
+        import numpy as np
+
         return np.array(rows, dtype=np.complex128)
     raise ValueError(f"unknown matrix header {header[0]!r}")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import hadamard6
 from hadamard6 import catalog, cli
 from hadamard6.matrices import ButsonMatrix, format_matrix
 
@@ -131,6 +136,51 @@ def test_defect_values(capsys):
     assert code == 0 and "defect: 0" in out
     code, out = run(capsys, "defect", "F6")
     assert code == 0 and "defect: 4" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["defect", "A1", "--tol", "nan"], 2),
+    (["defect", "A1", "--tol", "inf"], 2),
+    (["defect", "A1", "--tol", "0.1"], 2),  # the cut 10*tol would exclude every value
+    (["defect", "A1", "--tol", "1e-300"], 3),  # rank above n^2 - (2n - 1)
+    (["spectrum", "M61", "--tol", "nan"], 2),
+    (["verify", "COMPLEX", "--tol", "nan"], 2),
+], ids=["defect-nan", "defect-inf", "defect-cut-above-1", "defect-rank-above-bound",
+        "spectrum-nan", "verify-complex-nan"])
+def test_unusable_tolerance_is_refused(capsys, tmp_path, argv, code):
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(catalog.get("M6").to_complex()))
+    argv = [str(path) if a == "COMPLEX" else a for a in argv]
+    assert run(capsys, *argv) == (code, "")
+
+
+def test_exact_subcommands_run_without_numpy(tmp_path):
+    # A fresh interpreter: pytest itself has numpy loaded already.
+    bh = tmp_path / "bh.txt"
+    bh.write_text(format_matrix(catalog.get("M61")))
+    cx = tmp_path / "c.txt"
+    cx.write_text(format_matrix(catalog.get("M6").to_complex()))
+    script = textwrap.dedent("""
+        import sys
+        import hadamard6
+        assert "numpy" not in sys.modules, "import hadamard6 loaded numpy"
+        from hadamard6 import cli
+        for argv in (["catalog", "list"], ["verify", "A1"], ["charpoly", "A10"],
+                     ["spectrum", "M61"], ["dephase", "A10"],
+                     ["equiv", "unitary", "A01", "A02"], ["verify", sys.argv[1]]):
+            cli.main(argv)
+            assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+        print("defect-exit", cli.main(["defect", "A1"]))
+        print("complex-exit", cli.main(["verify", sys.argv[2]]))
+    """)
+    src = os.path.dirname(os.path.dirname(hadamard6.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, str(bh), str(cx)], env=env,
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "defect: 0" in lines and "defect-exit 0" in lines
+    assert "hadamard: true (numeric)" in lines and "complex-exit 0" in lines
 
 
 def test_equiv_standard_exit_codes_and_witness(capsys):

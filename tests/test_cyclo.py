@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard6.cyclo import CycInt, OrderMismatchError, cyclotomic_coeffs, euler_phi, zeta_pow
+from hadamard6.cyclo import CycInt, OrderMismatchError, cyclotomic_coeffs, euler_phi
 
 W = CycInt.zeta(3)
 I4 = CycInt.zeta(4)
@@ -56,9 +56,9 @@ def test_embed_examples():
     assert abs(abs(CycInt.zeta(12, 5).embed()) - 1.0) < 1e-15
 
 
-def test_zeta_pow_wraps():
-    assert zeta_pow(3, 5) == zeta_pow(3, 2)
-    assert zeta_pow(4, 2) == -1
+def test_zeta_wraps():
+    assert CycInt.zeta(3, 5) == CycInt.zeta(3, 2)
+    assert CycInt.zeta(4, 2) == -1
 
 
 def test_order_mismatch():

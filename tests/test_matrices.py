@@ -25,12 +25,12 @@ def random_butson(q, n):
     return ButsonMatrix(q, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
 
 
-def test_from_exponents_reduces_mod_q():
-    b = ButsonMatrix.from_exponents(3, [[4, -1], [3, 7]])
+def test_constructor_reduces_mod_q():
+    b = ButsonMatrix(3, [[4, -1], [3, 7]])
     assert b.exponents == ((1, 2), (0, 1))
 
 
-def test_from_exponents_rejects_non_square():
+def test_constructor_rejects_non_square():
     with pytest.raises(ValueError):
         ButsonMatrix(3, [[0, 1], [0, 1], [0, 1]])
     with pytest.raises(ValueError):
