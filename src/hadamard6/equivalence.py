@@ -8,33 +8,25 @@ blind double loop. Dephasing cancels arbitrary unimodular diagonals, so the
 decision procedure is complete even though returned witnesses carry only
 q-th-root phases.
 
-The search runs in two steps. A numpy screen takes the row permutations in
-blocks and, for every first column c0, compares sorted integer codes of the
-dephased columns with those of the target; each flagged (row permutation, c0)
-pair is then confirmed by the exact column match, in enumeration order. A
-code reads a column's n-1 exponents as digits in base q modulo 2**64, so it
-is exact while q**(n-1) <= 2**64 and a hash beyond that. Equal columns always
-get equal codes, so the screen never drops a match; a hash collision only
-costs one rejected confirmation.
+The search is pure Python and looks at every row permutation on its own. For
+a pivot row r = sigma[0], every other row s of b is dephased against row r
+and against each column c0, and masks[i][s] records, as a bitmask over c0,
+whether that row has the exponent multiset of row i of the dephased target.
+A row permutation keeps only the c0 in the AND of its masks; each of those
+goes to the exact test, which compares the sorted columns of the dephased
+candidate with the sorted columns of the dephased target. The table is
+rebuilt only when the pivot changes, n times over a full search.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, permutations
-from typing import TYPE_CHECKING
 
 from .invariants import charpoly_exact, haagerup_set, poly_eq, scale
 from .matrices import ButsonMatrix, PhaseVector, dephase
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# Largest block of row permutations screened at once. Blocks grow 1, 2, 4, ...
-# up to this size, so an early hit costs about one permutation's work, and each
-# (B, n-1, n, n) screen temporary stays under 1 MB for n <= 8.
-_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -100,13 +92,12 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     With prescreen enabled a Haagerup multiset mismatch refutes immediately
     (equal multisets are a necessary condition for equivalence).
 
-    Row permutations are taken in itertools order, in blocks of 1, 2, 4, ...
-    up to _BLOCK. Each block is screened in numpy: the permuted grid is
-    dephased against its first row and, for each c0, against column c0, and
-    the sorted base-q codes of its columns are compared with the target's.
-    The codes are exact while q**(n-1) <= 2**64 and a hash (wrapping mod
-    2**64) beyond, so every flagged (row permutation, c0) goes through the
-    exact column match before a witness is built. search_stats is the
+    Row permutations sigma are taken in itertools order and first columns c0
+    in ascending order. For each pivot sigma[0] a table of row masks is built
+    (see _row_masks); the AND of masks[i][sigma[i]] over i = 1..n-1 keeps the
+    c0 whose dephased rows all have the target's exponent multisets, and each
+    surviving c0 is tested exactly by comparing the sorted columns of the
+    dephased candidate with those of the dephased target. search_stats is the
     1-based position of the row permutation that gave the witness, or n! for
     a miss.
     """
@@ -116,85 +107,65 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     n = a.n
     if prescreen and haagerup_set(a) != haagerup_set(b):
         return EquivVerdict(False, None, 0)
-    import numpy as np
-
-    target = dephase(a)[0]
-    # Column keys of the dephased target, rows 1..n-1 (row 0 is identically 0).
-    want: dict[tuple[int, ...], list[int]] = {}
-    for j in range(1, n):
-        key = tuple(target.entry(i, j) for i in range(1, n))
-        want.setdefault(key, []).append(j)
-    weights = np.array([pow(q, i, 1 << 64) for i in range(n - 1)], dtype=np.uint64)
-    dephased = np.array(target.exponents, dtype=np.int64)
-    want_codes = _sorted_codes(dephased[None, 1:], weights, q)[0, 0]
-
-    eb = b.exponents
-    grid = np.array(eb, dtype=np.int64)
+    target = dephase(a)[0].exponents
+    # Target row 0 is all zeros, which the pivot row dephased against itself
+    # always matches, so masks[0][pivot] is full: at n = 1 it is the only mask.
+    profiles: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(target):
+        profiles.setdefault(tuple(sorted(row)), []).append(i)
+    target_cols = list(zip(*target[1:]))
+    want = sorted(target_cols)
+    first = min(1, n - 1)
+    block = math.factorial(n - 1)
     perms = permutations(range(n))
-    examined, size = 0, 1
-    while block := list(islice(perms, size)):
-        rows = grid[np.array(block)]
-        flags = (_sorted_codes(rows[:, 1:] - rows[:, :1], weights, q) == want_codes).all(axis=2)
-        for k, c0 in zip(*np.nonzero(flags)):
-            sigma = block[k]
-            tau = _match_columns(eb, sigma, int(c0), want, q)
-            if tau is None:
+    for pivot in range(n):
+        rows, masks = _row_masks(b.exponents, pivot, profiles, q)
+        for examined, sigma in enumerate(islice(perms, block), pivot * block + 1):
+            hits = masks[first][sigma[first]]
+            if not hits:
                 continue
-            witness = _build_witness(a, b, sigma, tau, q)
-            if apply_witness(witness, b) != a:
-                raise RuntimeError("witness verification failed; search is inconsistent")
-            return EquivVerdict(True, witness, examined + int(k) + 1)
-        examined += len(block)
-        size = min(2 * size, _BLOCK)
-    return EquivVerdict(False, None, examined)
+            for i in range(2, n):
+                hits &= masks[i][sigma[i]]
+                if not hits:
+                    break
+            while hits:
+                c0 = (hits & -hits).bit_length() - 1
+                hits &= hits - 1
+                cols = list(zip(*[rows[s][c0] for s in sigma[1:]]))
+                if sorted(cols) != want:
+                    continue
+                # Equal columns are interchangeable, so giving each target
+                # column the smallest unused equal column yields the smallest tau.
+                spare: dict[tuple[int, ...], list[int]] = {}
+                for c in reversed(range(n)):
+                    if c != c0:
+                        spare.setdefault(cols[c], []).append(c)
+                tau = (c0, *(spare[col].pop() for col in target_cols[1:]))
+                witness = _build_witness(a, b, sigma, tau, q)
+                if apply_witness(witness, b) != a:
+                    raise RuntimeError("witness verification failed; search is inconsistent")
+                return EquivVerdict(True, witness, examined)
+    return EquivVerdict(False, None, n * block)
 
 
-def _sorted_codes(rows: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
-    """Screen codes of row-dephased grids rows[B, n-1, n], for every c0.
+def _row_masks(eb, r: int, profiles: dict[tuple[int, ...], list[int]], q: int):
+    """Rows of b dephased against row r and each column c0, with their masks.
 
-    Entry [k, c0] holds the n column codes of grid k after dephasing against
-    column c0, sorted; column c0 itself has code 0. The differences lie in
-    (-2q, 2q), which fits int64 because ButsonMatrix caps q at 2**62.
+    rows[s][c0] is row s of b after dephasing against row r and column c0.
+    Bit c0 of masks[i][s] is set when that row has the exponent multiset of
+    row i of the dephased target, which row i of any match must have.
     """
-    import numpy as np
-
-    # One (B, n-1, n, n) temporary, updated in place: digits in [0, q) have
-    # the same bits as int64 and uint64, and uint64 products wrap mod 2**64.
-    digits = rows[:, :, None, :] - rows[:, :, :, None]
-    digits %= q
-    terms = digits.view(np.uint64)
-    terms *= weights[:, None, None]
-    codes = terms.sum(axis=1, dtype=np.uint64)
-    codes.sort(axis=2)
-    return codes
-
-
-def _match_columns(eb, sigma: tuple[int, ...], c0: int,
-                   want: dict[tuple[int, ...], list[int]], q: int) -> tuple[int, ...] | None:
-    """Exact column match of row permutation sigma with first column c0.
-
-    Returns the smallest compatible column permutation, or None.
-    """
-    n = len(sigma)
-    # Left-dephased columns of the row-permuted candidate.
-    cols = [tuple((eb[sigma[i]][c] - eb[sigma[0]][c]) % q for i in range(1, n))
-            for c in range(n)]
-    base = cols[c0]
-    have: dict[tuple[int, ...], list[int]] = {}
-    for c in range(n):
-        if c != c0:
-            key = tuple((cols[c][i] - base[i]) % q for i in range(n - 1))
-            have.setdefault(key, []).append(c)
-    if {k: len(v) for k, v in want.items()} != {k: len(v) for k, v in have.items()}:
-        return None
-    # Duplicate keys are interchangeable, so ascending assignment per
-    # key yields the lexicographically smallest column permutation.
-    tau = [0] * n
-    tau[0] = c0
-    for key, js in want.items():
-        for j, c in zip(js, have[key]):
-            tau[j] = c
-    return tuple(tau)
+    n = len(eb)
+    rows = []
+    masks = [[0] * n for _ in range(n)]
+    for s in range(n):
+        u = [x - y for x, y in zip(eb[s], eb[r])]
+        dephased = [tuple([(x - y) % q for x in u]) for y in u]
+        rows.append(dephased)
+        for c0, row in enumerate(dephased):
+            for i in profiles.get(tuple(sorted(row)), ()):
+                masks[i][s] |= 1 << c0
+    return rows, masks
 
 
 def _build_witness(a: ButsonMatrix, b: ButsonMatrix, sigma: tuple[int, ...],
@@ -227,7 +198,16 @@ def classify(mats, relation: str) -> list[list[int]]:
         polys = [scale(charpoly_exact(m), m.n) for m in mats]
         related = lambda i, j: poly_eq(polys[i], polys[j])
     elif relation == "standard":
-        related = lambda i, j: standard_equivalent(mats[i], mats[j]).equivalent
+        # One Haagerup multiset per matrix, compared at the batch's common
+        # order (value v at order q becomes v * order / q); only pairs with
+        # equal multisets are searched.
+        if any(m.n != mats[0].n for m in mats):
+            raise ValueError("matrices of different dimension are not comparable")
+        order = math.lcm(*(m.q for m in mats))
+        sets = [Counter({v * (order // m.q): c for v, c in haagerup_set(m).items()})
+                for m in mats]
+        related = lambda i, j: (sets[i] == sets[j] and standard_equivalent(
+            mats[i], mats[j], prescreen=False).equivalent)
     else:
         raise ValueError("relation must be 'standard' or 'unitary'")
     classes: list[list[int]] = []

@@ -15,7 +15,7 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import TYPE_CHECKING
 
 from .cyclo import CycInt
@@ -278,14 +278,22 @@ def spectrum_distance(spec: Spectrum, reference) -> float:
 
 
 def haagerup_set(b: ButsonMatrix) -> Counter:
-    """Multiset of e_ij + e_kl - e_il - e_kj mod q over all index quadruples."""
-    import numpy as np
+    """Multiset of e_ij + e_kl - e_il - e_kj mod q over all index quadruples.
 
-    e = np.array(b.exponents, dtype=np.int64)
-    quad = (e[:, None, :, None] + e[None, :, None, :]
-            - e[:, None, None, :] - e[None, :, :, None]) % b.q
-    values, counts = np.unique(quad, return_counts=True)
-    return Counter({int(v): int(c) for v, c in zip(values, counts)})
+    For rows i and k the value is d_j - d_l with d = e_i - e_k, so a row pair
+    contributes the products of the counts of its differences mod q. Rows
+    (k, i) give the same values as (i, k), and each of the n pairs i = k
+    gives n^2 zeros.
+    """
+    q, rows = b.q, b.exponents
+    n = len(rows)
+    out = Counter({0: n ** 3})
+    for ri, rk in combinations(rows, 2):
+        counts = Counter([(x - y) % q for x, y in zip(ri, rk)]).items()
+        for dj, cj in counts:
+            for dl, cl in counts:
+                out[(dj - dl) % q] += 2 * cj * cl
+    return out
 
 
 def deformation_system(b: ButsonMatrix) -> np.ndarray:

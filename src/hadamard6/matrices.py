@@ -7,8 +7,8 @@ the real symmetric family.
 
 numpy is imported inside the functions that build arrays, never at module
 level, so the exact paths run without it: `catalog`, `charpoly`, `spectrum`,
-`dephase`, `equiv unitary` and `verify` on a BH grid never load numpy, while
-`defect`, `equiv standard`, `verify` on a C grid and `report` do.
+`dephase`, `equiv standard`, `equiv unitary` and `verify` on a BH grid never
+load numpy, while `defect`, `verify` on a C grid and `report` do.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from .cyclo import CycInt
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest accepted root order. Exponent sums and differences such as
-# e_ij + e_kl - e_il - e_kj lie in (-2q, 2q), which must fit numpy's int64.
+# Largest accepted root order, the bound the BH text format documents.
+# Exponents are Python ints everywhere, so this is an input limit, not an
+# overflow guard: exact cyclotomic arithmetic costs O(q) per ring element,
+# and far smaller orders are already slow.
 MAX_ORDER = 1 << 62
 
 

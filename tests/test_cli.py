@@ -170,6 +170,18 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
                      ["equiv", "unitary", "A01", "A02"], ["verify", sys.argv[1]]):
             cli.main(argv)
             assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+        for argv, code in ((["equiv", "standard", "M6", "M61"], 0),
+                           (["equiv", "standard", "A1", sys.argv[1]], 1)):
+            assert cli.main(argv) == code, argv
+            assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+        from hadamard6 import classify, get, haagerup_set, standard_equivalent
+        m6, m61 = get("M6"), get("M61")
+        assert standard_equivalent(m6, m61, prescreen=False).equivalent
+        assert "numpy" not in sys.modules, "standard_equivalent loaded numpy"
+        assert classify([m6, m61, get("F6")], "standard") == [[0, 1], [2]]
+        assert "numpy" not in sys.modules, "classify loaded numpy"
+        assert haagerup_set(m6) == haagerup_set(m61)
+        assert "numpy" not in sys.modules, "haagerup_set loaded numpy"
         print("defect-exit", cli.main(["defect", "A1"]))
         print("complex-exit", cli.main(["verify", sys.argv[2]]))
     """)

@@ -38,7 +38,8 @@ def test_constructor_rejects_non_square():
 
 
 def test_root_order_above_2_62_rejected():
-    # Exponent sums and differences in (-2q, 2q) must fit numpy's int64.
+    # The documented bound of the BH format: 2**62 is accepted, anything
+    # above it is refused, also when reached through to_order.
     big = ButsonMatrix(MAX_ORDER, [[0, 1], [1, MAX_ORDER - 1]])
     assert big.q == 1 << 62
     with pytest.raises(ValueError):
