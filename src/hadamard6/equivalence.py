@@ -8,14 +8,14 @@ blind double loop. Dephasing cancels arbitrary unimodular diagonals, so the
 decision procedure is complete even though returned witnesses carry only
 q-th-root phases.
 
-The search is pure Python and looks at every row permutation on its own. For
-a pivot row r = sigma[0], every other row s of b is dephased against row r
-and against each column c0, and masks[i][s] records, as a bitmask over c0,
-whether that row has the exponent multiset of row i of the dephased target.
-A row permutation keeps only the c0 in the AND of its masks; each of those
-goes to the exact test, which compares the sorted columns of the dephased
-candidate with the sorted columns of the dephased target. The table is
-rebuilt only when the pivot changes, n times over a full search.
+The search is pure Python and looks at every row permutation on its own.
+Rows of b are dephased against a pivot row and each first column c0, and
+bitmasks over c0 record which dephased rows have the exponent multiset of
+each target row (row masks) and which pair with a second row as the target's
+rows pair with its row 1 (pair masks). Only the c0 left by both go to the
+exact test, a comparison of sorted dephased columns. Between Butson Hadamard
+matrices of prime order, whose row differences take each value equally
+often, row masks filter nothing; pair masks can, except at q = 2.
 """
 
 from __future__ import annotations
@@ -93,13 +93,10 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     (equal multisets are a necessary condition for equivalence).
 
     Row permutations sigma are taken in itertools order and first columns c0
-    in ascending order. For each pivot sigma[0] a table of row masks is built
-    (see _row_masks); the AND of masks[i][sigma[i]] over i = 1..n-1 keeps the
-    c0 whose dephased rows all have the target's exponent multisets, and each
-    surviving c0 is tested exactly by comparing the sorted columns of the
-    dephased candidate with those of the dephased target. search_stats is the
-    1-based position of the row permutation that gave the witness, or n! for
-    a miss.
+    in ascending order. The row masks of pivot sigma[0] and the pair masks of
+    sigma[1] (see _masks) are built once and ANDed per sigma; each surviving
+    c0 is tested exactly. search_stats is the 1-based position of the row
+    permutation that gave the witness, or n! for a miss.
     """
     if b1.n != b2.n:
         raise ValueError("matrices of different dimension are not comparable")
@@ -108,26 +105,34 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     if prescreen and haagerup_set(a) != haagerup_set(b):
         return EquivVerdict(False, None, 0)
     target = dephase(a)[0].exponents
-    # Target row 0 is all zeros, which the pivot row dephased against itself
-    # always matches, so masks[0][pivot] is full: at n = 1 it is the only mask.
-    profiles: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(target):
-        profiles.setdefault(tuple(sorted(row)), []).append(i)
+    first = min(1, n - 1)
+    by_row, by_pair = _profiles(target), _profiles(target, first)
     target_cols = list(zip(*target[1:]))
     want = sorted(target_cols)
-    first = min(1, n - 1)
     block = math.factorial(n - 1)
     perms = permutations(range(n))
     for pivot in range(n):
-        rows, masks = _row_masks(b.exponents, pivot, profiles, q)
+        rows = _dephased_rows(b.exponents, pivot, q)
+        # Target row 0 and the pivot row dephase to zeros, so
+        # row_masks[0][pivot] is full: at n = 1 it is the only mask.
+        row_masks = _masks(rows, by_row)
+        pair_masks: dict[int, list[list[int]]] = {}
         for examined, sigma in enumerate(islice(perms, block), pivot * block + 1):
-            hits = masks[first][sigma[first]]
+            hits = row_masks[first][sigma[first]]
             if not hits:
                 continue
             for i in range(2, n):
-                hits &= masks[i][sigma[i]]
+                hits &= row_masks[i][sigma[i]]
                 if not hits:
                     break
+            if hits and n > 2:
+                masks = pair_masks.get(sigma[1])
+                if masks is None:
+                    masks = pair_masks[sigma[1]] = _masks(rows, by_pair, sigma[1])
+                for i in range(2, n):
+                    hits &= masks[i][sigma[i]]
+                    if not hits:
+                        break
             while hits:
                 c0 = (hits & -hits).bit_length() - 1
                 hits &= hits - 1
@@ -148,24 +153,37 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     return EquivVerdict(False, None, n * block)
 
 
-def _row_masks(eb, r: int, profiles: dict[tuple[int, ...], list[int]], q: int):
-    """Rows of b dephased against row r and each column c0, with their masks.
+def _profiles(target, k: int | None = None) -> dict[tuple, list[int]]:
+    """Target rows i keyed by their exponent multiset or, given row k, by the
+    multiset of column pairs of rows (k, i)."""
+    found: dict[tuple, list[int]] = {}
+    for i, row in enumerate(target):
+        key = row if k is None else zip(target[k], row)
+        found.setdefault(tuple(sorted(key)), []).append(i)
+    return found
 
-    rows[s][c0] is row s of b after dephasing against row r and column c0.
-    Bit c0 of masks[i][s] is set when that row has the exponent multiset of
-    row i of the dephased target, which row i of any match must have.
-    """
-    n = len(eb)
+
+def _dephased_rows(eb, r: int, q: int) -> list[list[tuple[int, ...]]]:
+    """rows[s][c0] is row s of b dephased against row r and column c0."""
     rows = []
+    for s in range(len(eb)):
+        u = [x - y for x, y in zip(eb[s], eb[r])]
+        rows.append([tuple([(x - y) % q for x in u]) for y in u])
+    return rows
+
+
+def _masks(rows, profiles: dict[tuple, list[int]], anchor: int | None = None) -> list[list[int]]:
+    """Bit c0 of masks[i][s] is set when row s, dephased against column c0,
+    has the key of target row i in profiles: its exponent multiset or, given
+    an anchor row, the multiset of its column pairs with that row."""
+    n = len(rows)
     masks = [[0] * n for _ in range(n)]
     for s in range(n):
-        u = [x - y for x, y in zip(eb[s], eb[r])]
-        dephased = [tuple([(x - y) % q for x in u]) for y in u]
-        rows.append(dephased)
-        for c0, row in enumerate(dephased):
-            for i in profiles.get(tuple(sorted(row)), ()):
+        for c0, row in enumerate(rows[s]):
+            key = row if anchor is None else zip(rows[anchor][c0], row)
+            for i in profiles.get(tuple(sorted(key)), ()):
                 masks[i][s] |= 1 << c0
-    return rows, masks
+    return masks
 
 
 def _build_witness(a: ButsonMatrix, b: ButsonMatrix, sigma: tuple[int, ...],

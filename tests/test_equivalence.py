@@ -1,4 +1,6 @@
 import random
+from functools import partial
+from itertools import permutations
 
 import pytest
 
@@ -12,7 +14,7 @@ from hadamard6.equivalence import (
     unitary_equivalent,
 )
 from hadamard6.invariants import charpoly_exact, haagerup_set
-from hadamard6.matrices import ButsonMatrix, PhaseVector, rephase
+from hadamard6.matrices import ButsonMatrix, PhaseVector, dephase, rephase
 
 rng = random.Random(99)
 
@@ -212,15 +214,16 @@ def test_classify_validates():
 
 # --- the masked search against a blind search over every (sigma, c0) -------
 
-def reference_standard(b1, b2, prescreen=True):
-    """Blind search: every (row permutation, c0) pair, exact column keys."""
-    from itertools import permutations
-    from hadamard6.matrices import dephase
-    from test_invariants import haagerup_reference
+@pytest.fixture
+def reference_standard(haagerup_reference):
+    return partial(blind_standard, haagerup_reference)
 
+
+def blind_standard(haagerup, b1, b2, prescreen=True):
+    """Blind search: every (row permutation, c0) pair, exact column keys."""
     a, b, q = equivalence._common_order(b1, b2)
     n = a.n
-    if prescreen and haagerup_reference(a) != haagerup_reference(b):
+    if prescreen and haagerup(a) != haagerup(b):
         return EquivVerdict(False, None, 0)
     target = dephase(a)[0]
     want = {}
@@ -293,13 +296,13 @@ def oracle_pairs():
     b7 = random_grid(r, 7, 6)
     pairs.append((b7, random_transform(r, b7, lift=2)))
     pairs.append((b7, random_transform(r, transposed(b7))))
-    # Every row difference of F7 takes each value once, so every mask is all
-    # ones and every (sigma, c0) before the hit reaches the exact comparison.
+    # Every row difference of F7 takes each value once, so every row mask is
+    # full and only the pair masks filter before the exact comparison.
     pairs.append((fourier(7), random_transform(r, fourier(7))))
     return pairs
 
 
-def test_screen_matches_reference_on_catalog_pairs():
+def test_screen_matches_reference_on_catalog_pairs(reference_standard):
     # Past the prescreen the search ignores the flag, so one reference run
     # covers both modes unless the prescreen refutes. Every catalog miss is
     # refuted that way (different Haagerup multisets, which equivalent
@@ -319,7 +322,7 @@ def test_screen_matches_reference_on_catalog_pairs():
     assert reference_standard(a1, f6, prescreen=False) == exhaustive_miss
 
 
-def test_screen_matches_reference_on_random_pairs():
+def test_screen_matches_reference_on_random_pairs(reference_standard):
     for x, y in oracle_pairs():
         pre = reference_standard(x, y)
         assert standard_equivalent(x, y) == pre
@@ -327,7 +330,7 @@ def test_screen_matches_reference_on_random_pairs():
         assert standard_equivalent(x, y, prescreen=False) == full
 
 
-def test_one_changed_row_is_an_exhaustive_miss():
+def test_one_changed_row_is_an_exhaustive_miss(reference_standard):
     # b is a with its last row moved by a non-constant vector: under the
     # identity row permutation rows 0..4 still match, and the miss rests on
     # the last row alone, through all 720 row permutations.
@@ -342,7 +345,67 @@ def test_one_changed_row_is_an_exhaustive_miss():
     assert verdict == reference_standard(a, b, prescreen=False)
 
 
-def test_largest_root_order_does_not_overflow():
+def full_row_mask_pivots(a, b):
+    """Pivots p of b for which masks[i][s] is full for all i >= 1 and s != p."""
+    by_row = equivalence._profiles(dephase(a)[0].exponents)
+    n, full = a.n, (1 << a.n) - 1
+    pivots = []
+    for p in range(n):
+        masks = equivalence._masks(equivalence._dephased_rows(b.exponents, p, b.q), by_row)
+        if all(masks[i][s] == full for i in range(1, n) for s in range(n) if s != p):
+            pivots.append(p)
+    return pivots
+
+
+def test_repeated_row_miss_with_full_row_masks(reference_standard):
+    # A1 with its last row replaced by w times row 4: every other row
+    # difference stays uniform, so against pivots 0..3 every row mask is full.
+    a = catalog.get("A1")
+    b = ButsonMatrix(3, list(a.exponents[:5]) + [[e + 1 for e in a.exponents[4]]])
+    assert full_row_mask_pivots(a, b) == [0, 1, 2, 3]
+    verdict = standard_equivalent(a, b, prescreen=False)
+    assert not verdict.equivalent and verdict.search_stats == 720
+    assert verdict == reference_standard(a, b, prescreen=False)
+
+
+def dephased_butson_hadamard(n, q):
+    """Every dephased BH(n, q), q prime, whose rows from row 1 on are sorted.
+
+    For prime q a row difference is orthogonal exactly when it takes each
+    value n / q times. Sorting the columns by row 1 and the rows below row 0
+    brings any dephased BH(n, q) to one of these, so they meet every class.
+    """
+    def uniform(u, v):
+        d = [(x - y) % q for x, y in zip(u, v)]
+        return all(d.count(x) == n // q for x in range(q))
+
+    row1 = tuple(sorted(x for x in range(q) for _ in range(n // q)))
+    rows = sorted({p for p in permutations(row1) if p[0] == 0 and uniform(p, row1)})
+    found = []
+
+    def extend(chosen, allowed):
+        if len(chosen) == n - 2:
+            found.append(ButsonMatrix(q, [[0] * n, row1, *chosen]))
+        for k, row in enumerate(allowed):
+            extend(chosen + [row], [r for r in allowed[k + 1:] if uniform(r, row)])
+
+    extend([], rows)
+    return found
+
+
+@pytest.mark.parametrize("n, q", [(6, 3), (7, 7), (8, 2)])
+def test_prime_order_butson_hadamard_matrices_form_one_class(n, q):
+    # Between two of these every row mask is full, and they are all
+    # equivalent: no search between two of them ends in a miss.
+    found = dephased_butson_hadamard(n, q)
+    base = {6: catalog.get("A1"), 7: fourier(7)}.get(n, found[0])
+    for b in found:
+        assert full_row_mask_pivots(base, b) == list(range(n))
+        assert standard_equivalent(base, b).equivalent
+    assert len(found) == {6: 2, 7: 1, 8: 6}[n]
+
+
+def test_largest_root_order_does_not_overflow(reference_standard):
     # At the largest accepted order q = 2**62 the exponent differences reach
     # (-2q, 2q); the search must still agree with the blind search.
     from hadamard6.matrices import MAX_ORDER
