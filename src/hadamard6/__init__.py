@@ -13,7 +13,6 @@ from .matrices import (
 )
 from .catalog import (
     CatalogEntry,
-    XyzAssignment,
     agaian_symmetric,
     agaian_variant,
     diagonal_normalized,
@@ -21,10 +20,9 @@ from .catalog import (
     names,
 )
 from .invariants import (
+    CharPoly,
     ConvergenceError,
-    ExactPoly,
     IndeterminateRankError,
-    ScaledPoly,
     Spectrum,
     charpoly_exact,
     closed_form_A2a,
@@ -49,14 +47,13 @@ from .equivalence import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ButsonMatrix", "CatalogEntry", "ConvergenceError", "CycInt", "EquivVerdict",
-    "ExactPoly", "IndeterminateRankError", "OrderMismatchError", "PhaseVector",
-    "ScaledPoly", "Spectrum", "Witness", "XyzAssignment", "agaian_symmetric",
-    "agaian_variant", "apply_witness", "charpoly_exact", "classify",
-    "closed_form_A2a", "cyclotomic_coeffs", "defect", "deformation_system",
-    "dephase", "diagonal_normalized", "eig_real_symmetric", "euler_phi",
-    "format_matrix", "get", "haagerup_set", "is_hadamard_exact",
-    "is_hadamard_numeric", "names", "parse_matrix", "poly_eq", "rephase",
-    "scale", "spectrum_distance", "spectrum_numeric", "standard_equivalent",
+    "ButsonMatrix", "CatalogEntry", "CharPoly", "ConvergenceError", "CycInt",
+    "EquivVerdict", "IndeterminateRankError", "OrderMismatchError", "PhaseVector",
+    "Spectrum", "Witness", "agaian_symmetric", "agaian_variant", "apply_witness",
+    "charpoly_exact", "classify", "closed_form_A2a", "cyclotomic_coeffs", "defect",
+    "deformation_system", "dephase", "diagonal_normalized", "eig_real_symmetric",
+    "euler_phi", "format_matrix", "get", "haagerup_set", "is_hadamard_exact",
+    "is_hadamard_numeric", "names", "parse_matrix", "poly_eq", "rephase", "scale",
+    "spectrum_distance", "spectrum_numeric", "standard_equivalent",
     "unitary_equivalent",
 ]

@@ -5,11 +5,16 @@ root of unity) are stored as 0, 1, 2; for root order 4 the entries
 1, i, -1, -i are stored as 0, 1, 2, 3. F6 is the 6x6 Fourier matrix, included
 as a known-inequivalent comparator.
 
+Most of the A-family is derived rather than transcribed. A10 ... A60
+substitute 1, w, w^2 for x, y, z in the three-parameter TEMPLATE under the
+assignments in VARIANT_ASSIGNMENTS; A01, A02 and A03 are the standard
+(dephased) forms of A10, A20 and A30; A2 and A3 are the unit-diagonal row
+permutations of A02 and A03 (diagonal_normalized). Only A1, M6 and M61 are
+literal grids; F6 is built from its formula.
+
 Two published grids fail exact verification as transcribed and are kept in
-DISPUTED_READINGS for audit reporting: the catalog entry A2 is instead derived
-as the unique diagonal-normalized row permutation of A02 (which is symmetric
-and Hadamard), and A40 comes from the three-parameter template, which differs
-from the transcribed grid in a single cell.
+DISPUTED_READINGS for audit reporting: A2's reading breaks symmetry and row
+orthogonality, and A40's differs from the template output in a single cell.
 """
 
 from __future__ import annotations
@@ -18,14 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cyclo import CycInt
-from .matrices import ButsonMatrix
+from .matrices import ButsonMatrix, dephase
 
 if TYPE_CHECKING:
     import numpy as np
-
-_W = CycInt.zeta(3)
-_ROOTS3 = (CycInt.from_int(3, 1), _W, _W * _W)
 
 # Three-parameter template behind the A-family: each letter x, y, z takes one
 # of the values 1, w, w^2.
@@ -55,88 +56,6 @@ _GRID_A1 = (
     (0, 2, 1, 0, 1, 2),
     (0, 2, 2, 1, 0, 1),
     (0, 1, 2, 2, 1, 0),
-)
-
-_GRID_A3 = (
-    (0, 0, 0, 0, 0, 0),
-    (0, 0, 1, 2, 1, 2),
-    (0, 1, 0, 2, 2, 1),
-    (0, 2, 2, 0, 1, 1),
-    (0, 1, 2, 1, 0, 2),
-    (0, 2, 1, 1, 2, 0),
-)
-
-_GRID_A01 = (
-    (0, 0, 0, 0, 0, 0),
-    (0, 1, 2, 1, 0, 2),
-    (0, 2, 1, 1, 2, 0),
-    (0, 0, 1, 2, 1, 2),
-    (0, 1, 0, 2, 2, 1),
-    (0, 2, 2, 0, 1, 1),
-)
-
-_GRID_A02 = (
-    (0, 0, 0, 0, 0, 0),
-    (0, 2, 1, 2, 0, 1),
-    (0, 1, 2, 2, 1, 0),
-    (0, 0, 2, 1, 2, 1),
-    (0, 2, 0, 1, 1, 2),
-    (0, 1, 1, 0, 2, 2),
-)
-
-# Published identically to A01.
-_GRID_A03 = (
-    (0, 0, 0, 0, 0, 0),
-    (0, 1, 2, 1, 0, 2),
-    (0, 2, 1, 1, 2, 0),
-    (0, 0, 1, 2, 1, 2),
-    (0, 1, 0, 2, 2, 1),
-    (0, 2, 2, 0, 1, 1),
-)
-
-_GRID_A10 = (
-    (2, 0, 1, 1, 0, 2),
-    (0, 2, 1, 0, 1, 2),
-    (0, 0, 0, 0, 0, 0),
-    (2, 0, 2, 0, 1, 1),
-    (0, 2, 2, 1, 0, 1),
-    (2, 2, 0, 1, 1, 0),
-)
-
-_GRID_A20 = (
-    (2, 1, 0, 0, 1, 2),
-    (1, 2, 0, 1, 0, 2),
-    (1, 1, 1, 1, 1, 1),
-    (2, 1, 2, 1, 0, 0),
-    (1, 2, 2, 0, 1, 0),
-    (2, 2, 1, 0, 0, 1),
-)
-
-_GRID_A30 = (
-    (0, 1, 2, 2, 1, 0),
-    (1, 0, 2, 1, 2, 0),
-    (1, 1, 1, 1, 1, 1),
-    (0, 1, 0, 1, 2, 2),
-    (1, 0, 0, 2, 1, 2),
-    (0, 0, 1, 2, 2, 1),
-)
-
-_GRID_A50 = (
-    (1, 2, 0, 0, 2, 1),
-    (2, 1, 0, 2, 0, 1),
-    (2, 2, 2, 2, 2, 2),
-    (1, 2, 1, 2, 0, 0),
-    (2, 1, 1, 0, 2, 0),
-    (1, 1, 2, 0, 0, 2),
-)
-
-_GRID_A60 = (
-    (1, 0, 2, 2, 0, 1),
-    (0, 1, 2, 0, 2, 1),
-    (0, 0, 0, 0, 0, 0),
-    (1, 0, 1, 0, 2, 2),
-    (0, 1, 1, 2, 0, 2),
-    (1, 1, 0, 2, 2, 0),
 )
 
 _GRID_M6 = (
@@ -182,38 +101,20 @@ DISPUTED_READINGS: dict[str, tuple[tuple[int, ...], ...]] = {
 
 
 @dataclass(frozen=True)
-class XyzAssignment:
-    """A bijective assignment of the letters x, y, z to 1, w, w^2."""
-
-    x: CycInt
-    y: CycInt
-    z: CycInt
-
-    def __post_init__(self) -> None:
-        if {self.x, self.y, self.z} != set(_ROOTS3):
-            raise ValueError("x, y, z must be a permutation of the cube roots of unity")
-
-    @classmethod
-    def from_exponents(cls, ex: int, ey: int, ez: int) -> XyzAssignment:
-        return cls(_ROOTS3[ex % 3], _ROOTS3[ey % 3], _ROOTS3[ez % 3])
-
-    def exponents(self) -> dict[str, int]:
-        return {
-            letter: _ROOTS3.index(value)
-            for letter, value in (("x", self.x), ("y", self.y), ("z", self.z))
-        }
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     matrix: ButsonMatrix
     note: str
 
 
-def agaian_variant(sigma: XyzAssignment) -> ButsonMatrix:
-    """Substitute an assignment into the three-parameter template."""
-    exps = sigma.exponents()
+def agaian_variant(ex: int, ey: int, ez: int) -> ButsonMatrix:
+    """Substitute w^ex, w^ey, w^ez for x, y, z in the three-parameter template.
+
+    Exponents are reduced mod 3 and must then be a permutation of 0, 1, 2.
+    """
+    exps = {"x": ex % 3, "y": ey % 3, "z": ez % 3}
+    if sorted(exps.values()) != [0, 1, 2]:
+        raise ValueError("x, y, z must be a permutation of the cube roots of unity")
     return ButsonMatrix(3, [[exps[ch] for ch in row] for row in TEMPLATE])
 
 
@@ -257,44 +158,33 @@ def agaian_symmetric(a: float) -> np.ndarray:
 
 
 def _build_catalog() -> dict[str, CatalogEntry]:
-    entries: dict[str, CatalogEntry] = {}
-
-    def add(name: str, matrix: ButsonMatrix, note: str) -> None:
-        if name in entries:
-            raise ValueError(f"duplicate catalog name {name}")
-        entries[name] = CatalogEntry(name, matrix, note)
-
-    add("A1", ButsonMatrix(3, _GRID_A1),
-        "symmetric unit-diagonal form; the isolation candidate")
-    a02 = ButsonMatrix(3, _GRID_A02)
-    add("A2", diagonal_normalized(a02),
-        "diagonal-normalized row permutation of A02 (symmetric; the transcribed "
-        "grid in DISPUTED_READINGS is not orthogonal)")
-    add("A3", ButsonMatrix(3, _GRID_A3),
-        "symmetric unit-diagonal form derived from A03")
-    grids = {
-        "A10": _GRID_A10, "A20": _GRID_A20, "A30": _GRID_A30,
-        "A50": _GRID_A50, "A60": _GRID_A60,
-    }
+    variants = {name: agaian_variant(*exps) for name, exps in VARIANT_ASSIGNMENTS.items()}
+    a01, a02, a03 = (dephase(variants[name])[0] for name in ("A10", "A20", "A30"))
+    rows = [
+        ("A1", ButsonMatrix(3, _GRID_A1),
+         "symmetric unit-diagonal form; the isolation candidate"),
+        ("A2", diagonal_normalized(a02),
+         "diagonal-normalized row permutation of A02 (symmetric; the transcribed "
+         "grid in DISPUTED_READINGS is not orthogonal)"),
+        ("A3", diagonal_normalized(a03), "symmetric unit-diagonal form derived from A03"),
+    ]
     for name, (ex, ey, ez) in VARIANT_ASSIGNMENTS.items():
+        note = f"template output for assignment exponents ({ex}, {ey}, {ez})"
         if name == "A40":
-            matrix = agaian_variant(XyzAssignment.from_exponents(ex, ey, ez))
             note = ("template output for x=w^2, y=w, z=1 (the transcribed grid in "
                     "DISPUTED_READINGS differs in one cell and is not orthogonal)")
-        else:
-            matrix = ButsonMatrix(3, grids[name])
-            note = f"template output for assignment exponents ({ex}, {ey}, {ez})"
-        add(name, matrix, note)
-    add("A01", ButsonMatrix(3, _GRID_A01), "standard (dephased) form of A10")
-    add("A02", a02, "standard (dephased) form of A20")
-    add("A03", ButsonMatrix(3, _GRID_A03),
-        "standard (dephased) form of A30; coincides with A01 entrywise")
-    add("M6", ButsonMatrix(4, _GRID_M6), "self-adjoint comparator, order-4 entries")
-    add("M61", ButsonMatrix(4, _GRID_M61),
-        "row/column-permuted phase-equivalent companion of M6")
-    add("F6", ButsonMatrix(6, [[(i * j) % 6 for j in range(6)] for i in range(6)]),
-        "6x6 Fourier matrix, known-inequivalent comparator")
-    return entries
+        rows.append((name, variants[name], note))
+    rows += [
+        ("A01", a01, "standard (dephased) form of A10"),
+        ("A02", a02, "standard (dephased) form of A20"),
+        ("A03", a03, "standard (dephased) form of A30; coincides with A01 entrywise"),
+        ("M6", ButsonMatrix(4, _GRID_M6), "self-adjoint comparator, order-4 entries"),
+        ("M61", ButsonMatrix(4, _GRID_M61),
+         "row/column-permuted phase-equivalent companion of M6"),
+        ("F6", ButsonMatrix(6, [[(i * j) % 6 for j in range(6)] for i in range(6)]),
+         "6x6 Fourier matrix, known-inequivalent comparator"),
+    ]
+    return {name: CatalogEntry(name, matrix, note) for name, matrix, note in rows}
 
 
 _CATALOG = _build_catalog()

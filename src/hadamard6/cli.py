@@ -23,14 +23,12 @@ from .invariants import (
     REFERENCE_SPECTRAL_FUNCTIONS,
     ConvergenceError,
     IndeterminateRankError,
-    ScaledPoly,
     charpoly_exact,
     closed_form_A2a,
     defect,
     deformation_system,
     eig_real_symmetric,
     poly_eq,
-    scale,
     spectrum_distance,
     spectrum_numeric,
 )
@@ -137,7 +135,7 @@ def cmd_verify(args) -> int:
 
 def cmd_charpoly(args) -> int:
     b = _resolve_exact(args.matrix)
-    p = scale(charpoly_exact(b), b.n)
+    p = charpoly_exact(b)
     payload = {"name": _name_of(args.matrix), "q": b.q, "n": b.n,
                "charpoly": {"e": [list(c.coeffs) for c in p.e]}}
     lines = [f"scaled charpoly over the order-{b.q} ring "
@@ -150,7 +148,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_spectrum(args) -> int:
     b = _resolve_exact(args.matrix)
-    p = scale(charpoly_exact(b), b.n)
+    p = charpoly_exact(b)
     spec = spectrum_numeric(p, tol=args.tol)
     payload = {"name": _name_of(args.matrix), "q": b.q, "n": b.n,
                "spectrum": [
@@ -216,12 +214,6 @@ def cmd_equiv(args) -> int:
 
 # --- claim audit -----------------------------------------------------------
 
-def _catalog_poly(name: str) -> ScaledPoly:
-    """Scaled characteristic polynomial of a catalog matrix."""
-    b = catalog.get(name)
-    return scale(charpoly_exact(b), b.n)
-
-
 def _claim_hadamard() -> ClaimRecord:
     bad = [e.name for e in catalog.entries() if not is_hadamard_exact(e.matrix)]
     ones = ButsonMatrix(3, [[0] * 6 for _ in range(6)])
@@ -243,7 +235,7 @@ def _claim_hadamard() -> ClaimRecord:
 
 
 def _claim_m6_poly() -> ClaimRecord:
-    p = _catalog_poly("M6")
+    p = charpoly_exact(catalog.get("M6"))
     ok = poly_eq(p, REFERENCE_SPECTRAL_FUNCTIONS["M6"])
     return ClaimRecord(
         "C2", "scaled charpoly of M6 equals (x^2-1)^3 coefficientwise",
@@ -252,7 +244,7 @@ def _claim_m6_poly() -> ClaimRecord:
 
 
 def _claim_m61_spectrum() -> ClaimRecord:
-    p = _catalog_poly("M61")
+    p = charpoly_exact(catalog.get("M61"))
     spec = spectrum_numeric(p)
     dist = spectrum_distance(spec, REFERENCE_SPECTRA["M61"])
     ok = dist <= 1e-10
@@ -276,7 +268,7 @@ def _claim_m6_m61_standard() -> ClaimRecord:
 
 def _claim_variant_polys() -> ClaimRecord:
     names = ["A10", "A20", "A30", "A40", "A50", "A60"]
-    polys = {n: _catalog_poly(n) for n in names}
+    polys = {n: charpoly_exact(catalog.get(n)) for n in names}
     mismatched = []
     for n in names:
         if not poly_eq(polys[n], REFERENCE_SPECTRAL_FUNCTIONS[n]):
@@ -300,9 +292,9 @@ def _claim_variant_polys() -> ClaimRecord:
 
 
 def _claim_dephased_collapse() -> ClaimRecord:
-    p01 = _catalog_poly("A01")
-    p02 = _catalog_poly("A02")
-    p03 = _catalog_poly("A03")
+    p01 = charpoly_exact(catalog.get("A01"))
+    p02 = charpoly_exact(catalog.get("A02"))
+    p03 = charpoly_exact(catalog.get("A03"))
     ok = poly_eq(p01, p03) and not poly_eq(p01, p02)
     return ClaimRecord(
         "C6", "A01 and A03 share their spectral function; A02 differs",
@@ -311,13 +303,12 @@ def _claim_dephased_collapse() -> ClaimRecord:
 
 
 def _claim_shared_spectrum() -> ClaimRecord:
-    p1 = _catalog_poly("A1")
-    p2 = _catalog_poly("A2")
-    p3 = _catalog_poly("A3")
+    p1 = charpoly_exact(catalog.get("A1"))
+    p2 = charpoly_exact(catalog.get("A2"))
+    p3 = charpoly_exact(catalog.get("A3"))
     same = poly_eq(p1, p2) and poly_eq(p1, p3)
     dist = spectrum_distance(spectrum_numeric(p1), REFERENCE_SPECTRA["A1"])
-    conj_invariant = poly_eq(
-        p1, scale(charpoly_exact(catalog.get("A1").conjugated()), 6))
+    conj_invariant = poly_eq(p1, charpoly_exact(catalog.get("A1").conjugated()))
     ok = same and dist <= 1e-10 and conj_invariant
     return ClaimRecord(
         "C7", "A1, A2, A3 share their scaled charpoly, matching the reference "
@@ -504,7 +495,10 @@ def main(argv=None) -> int:
     except (ConvergenceError, IndeterminateRankError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

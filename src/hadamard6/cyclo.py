@@ -185,6 +185,9 @@ class CycInt:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # Integers compare equal to CycInt elements, so they must hash alike.
+        if not any(self._coeffs[1:]):
+            return hash(self._coeffs[0])
         return hash((self._q, self._coeffs))
 
     def __repr__(self) -> str:

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, permutations
 
-from .invariants import charpoly_exact, haagerup_set, poly_eq, scale
+from .invariants import charpoly_exact, haagerup_set, poly_eq
 from .matrices import ButsonMatrix, PhaseVector, dephase
 
 
@@ -75,7 +75,7 @@ def unitary_equivalent(b1: ButsonMatrix, b2: ButsonMatrix) -> bool:
     """Equality of spectra of B/sqrt(n), tested exactly on scaled polynomials."""
     if b1.n != b2.n:
         raise ValueError("matrices of different dimension are not comparable")
-    return poly_eq(scale(charpoly_exact(b1), b1.n), scale(charpoly_exact(b2), b2.n))
+    return poly_eq(charpoly_exact(b1), charpoly_exact(b2))
 
 
 def _common_order(b1: ButsonMatrix, b2: ButsonMatrix) -> tuple[ButsonMatrix, ButsonMatrix, int]:
@@ -213,7 +213,7 @@ def classify(mats, relation: str) -> list[list[int]]:
         raise ValueError("classify needs at least one matrix")
     if relation == "unitary":
         # One polynomial per matrix; representatives are compared exactly.
-        polys = [scale(charpoly_exact(m), m.n) for m in mats]
+        polys = [charpoly_exact(m) for m in mats]
         related = lambda i, j: poly_eq(polys[i], polys[j])
     elif relation == "standard":
         # One Haagerup multiset per matrix, compared at the batch's common

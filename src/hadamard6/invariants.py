@@ -4,9 +4,11 @@ Characteristic polynomials are computed exactly over Z[zeta_q] by Berkowitz's
 division-free recurrence, carried out in the group ring Z[x]/(x^q - 1) and
 reduced modulo the q-th cyclotomic polynomial at the end. It costs O(n^4) ring
 operations and has no dimension cap, and the whole pipeline up to root finding
-is integer arithmetic. The scaled view absorbs every sqrt(n) power into
-integer-cyclotomic coefficients, which makes spectral-function comparison an
-exact test.
+is integer arithmetic. One type, CharPoly(n, q, e), holds the result: e_k is
+the x^k coefficient of det(xI - H), and the same tuple describes
+det(xI - H/sqrt(n)), whose x^k coefficient is e_k * n^(-(n-k)/2). Every
+sqrt(n) power is bookkeeping, so comparing spectra of H/sqrt(n) is an exact
+integer-cyclotomic test.
 """
 
 from __future__ import annotations
@@ -34,27 +36,11 @@ class IndeterminateRankError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExactPoly:
-    """Monic det(xI - H) with coefficients in Z[zeta_q], degree 0 upward."""
+class CharPoly:
+    """Monic det(xI - H) of an n x n matrix, coefficients e_k in Z[zeta_q].
 
-    q: int
-    coeffs: tuple[CycInt, ...]
-
-    def __post_init__(self) -> None:
-        if self.coeffs[-1] != 1:
-            raise ValueError("characteristic polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
-class ScaledPoly:
-    """det(xI - H/sqrt(n)) with the x^k coefficient stored as e_k * n^(-(n-k)/2).
-
-    e_k equals the x^k coefficient of the unscaled polynomial, so equality of
-    scaled polynomials is an exact integer-cyclotomic comparison.
+    e runs from degree 0 upward. Read as det(xI - H/sqrt(n)), the x^k
+    coefficient is e_k * n^(-(n-k)/2), which complex_coeffs() evaluates.
     """
 
     n: int
@@ -65,7 +51,7 @@ class ScaledPoly:
         if len(self.e) != self.n + 1:
             raise ValueError("need one coefficient per degree 0..n")
         if self.e[-1] != 1:
-            raise ValueError("scaled polynomial must be monic")
+            raise ValueError("characteristic polynomial must be monic")
 
     def complex_coeffs(self) -> list[complex]:
         n = self.n
@@ -117,7 +103,7 @@ def _dot_conv(t: list[list[int]], poly: list[list[int]], i: int) -> list[int]:
     return out
 
 
-def charpoly_exact(b: ButsonMatrix) -> ExactPoly:
+def charpoly_exact(b: ButsonMatrix) -> CharPoly:
     """Exact det(xI - B) over Z[zeta_q], by the Samuelson-Berkowitz recurrence.
 
     Peeling row and column k off the trailing block A_k = [[a, R], [C, M]]
@@ -141,17 +127,21 @@ def charpoly_exact(b: ButsonMatrix) -> ExactPoly:
                 col = [_dot(e[i], col, rest) for i in rest]
             t.append([-c for c in _dot(e[k], col, rest)])
         poly = [_dot_conv(t, poly, i) for i in range(len(poly) + 1)]
-    return ExactPoly(q, tuple(CycInt(q, poly[n - d]) for d in range(n + 1)))
+    return CharPoly(n, q, tuple(CycInt(q, poly[n - d]) for d in range(n + 1)))
 
 
-def scale(p: ExactPoly, n: int) -> ScaledPoly:
-    """View of det(xI - H/sqrt(n)); pure bookkeeping, exactly invertible."""
-    if p.degree != n:
-        raise ValueError(f"polynomial degree {p.degree} does not match n={n}")
-    return ScaledPoly(n=n, q=p.q, e=p.coeffs)
+def scale(p: CharPoly, n: int) -> CharPoly:
+    """Check that p has degree n and return it unchanged.
+
+    A CharPoly already describes det(xI - H/sqrt(n)), so there is nothing to
+    convert; only the degree is checked.
+    """
+    if p.n != n:
+        raise ValueError(f"polynomial degree {p.n} does not match n={n}")
+    return p
 
 
-def poly_eq(p1: ScaledPoly, p2: ScaledPoly) -> bool:
+def poly_eq(p1: CharPoly, p2: CharPoly) -> bool:
     """Exact coefficientwise equality, after embedding into a common root order."""
     if p1.n != p2.n:
         raise ValueError("polynomials of different dimension are not comparable")
@@ -168,14 +158,27 @@ def _horner(coeffs: list[complex], x: complex) -> complex:
     return out
 
 
-def _durand_kerner(coeffs: list[complex], max_iter: int = 1000) -> list[complex]:
+_DK_MAX_ITER = 1000
+
+# Roots closer than this are one multiple root. The radius must cover the stall
+# distance of multiple roots in double precision, roughly eps^(1/m) for an
+# m-fold root (5e-6 at m = 3), while staying far below the separation of
+# distinct catalog roots (> 0.1).
+_CLUSTER_RADIUS = 1e-4
+
+# Bound, relative to n * max|entry|, on the trace and eigenvector residuals
+# that eig_real_symmetric checks before returning.
+_EIG_TOL = 1e-10
+
+
+def _durand_kerner(coeffs: list[complex]) -> list[complex]:
     # Simultaneous iteration on the monic polynomial; starting points sit on a
     # circle of radius 1.2 with an irrational angular offset so no iterate
     # coincides with a root or another iterate.
     n = len(coeffs) - 1
     offset = math.sqrt(2.0) / 2.0
     z = [1.2 * cmath.exp(1j * (2.0 * math.pi * k / n + offset)) for k in range(n)]
-    for _ in range(max_iter):
+    for _ in range(_DK_MAX_ITER):
         max_step = 0.0
         for i in range(n):
             denom = 1.0 + 0j
@@ -230,23 +233,21 @@ def _polish_root(coeffs: list[complex], x0: complex, mult: int,
     return x
 
 
-def spectrum_numeric(p: ScaledPoly, tol: float = 1e-8,
-                     cluster_radius: float = 1e-4) -> Spectrum:
+def spectrum_numeric(p: CharPoly, tol: float = 1e-8) -> Spectrum:
     """Roots of the scaled polynomial, clustered into multiplicities.
 
-    Raises ConvergenceError when a polished representative leaves a residual
-    above tol. The radius must cover the stall distance of multiple roots in
-    double precision, roughly eps^(1/m) for an m-fold root (5e-6 at m = 3),
-    while staying far below the separation of distinct catalog roots (> 0.1).
+    Roots closer than _CLUSTER_RADIUS count as one multiple root. Raises
+    ConvergenceError when a polished representative leaves a residual above
+    tol, or when two representatives end up within the radius.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be a positive finite number")
     coeffs = p.complex_coeffs()
     raw = _durand_kerner(coeffs)
     pairs = []
-    for group in _cluster(raw, cluster_radius):
+    for group in _cluster(raw, _CLUSTER_RADIUS):
         centroid = sum(group) / len(group)
-        root = _polish_root(coeffs, centroid, len(group), 10.0 * cluster_radius)
+        root = _polish_root(coeffs, centroid, len(group), 10.0 * _CLUSTER_RADIUS)
         if abs(_horner(coeffs, root)) > tol:
             raise ConvergenceError(
                 f"root residual {abs(_horner(coeffs, root)):.3e} exceeds {tol:.3e}"
@@ -254,7 +255,7 @@ def spectrum_numeric(p: ScaledPoly, tol: float = 1e-8,
         pairs.append((root, len(group)))
     pairs.sort(key=lambda vm: (vm[0].real, vm[0].imag))
     for (v1, _), (v2, _) in zip(pairs, pairs[1:]):
-        if abs(v1 - v2) <= cluster_radius:
+        if abs(v1 - v2) <= _CLUSTER_RADIUS:
             raise ConvergenceError("cluster representatives are not separated")
     return Spectrum(tuple(pairs))
 
@@ -301,7 +302,8 @@ def deformation_system(b: ButsonMatrix) -> np.ndarray:
 
     Unknowns are the n^2 real entries of R (flattened row-major); each ordered
     row pair i < j contributes the real and imaginary parts of
-    sum_k H_ik conj(H_jk) (R_ik - R_jk) = 0.
+    sum_k H_ik conj(H_jk) (R_ik - R_jk) = 0. The shape is (n(n-1), n^2), so a
+    1 x 1 matrix gives a system with no rows.
     """
     import numpy as np
 
@@ -316,7 +318,7 @@ def deformation_system(b: ButsonMatrix) -> np.ndarray:
             coef[j * n:(j + 1) * n] -= w
             rows.append(coef.real)
             rows.append(coef.imag)
-    return np.array(rows)
+    return np.array(rows).reshape(-1, n * n)
 
 
 def rank_from_singular_values(sigmas, tol: float) -> int:
@@ -333,7 +335,7 @@ def rank_from_singular_values(sigmas, tol: float) -> int:
     import numpy as np
 
     sigmas = np.asarray(sigmas, dtype=np.float64)
-    smax = float(np.max(sigmas))
+    smax = float(np.max(sigmas, initial=0.0))  # no singular values: rank 0
     if smax == 0.0:
         return 0
     ratios = sigmas / smax
@@ -367,12 +369,12 @@ def defect(b: ButsonMatrix, tol: float = 1e-8) -> int:
     return n * n - rank - (2 * n - 1)
 
 
-def eig_real_symmetric(m: np.ndarray, tol: float = 1e-10) -> list[float]:
+def eig_real_symmetric(m: np.ndarray) -> list[float]:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps run until the off-diagonal Frobenius norm drops below 1e-12. The
-    trace identity and the eigenvector residuals are checked against tol
-    before returning; eigenvalues come back sorted ascending.
+    trace identity and the eigenvector residuals are checked against
+    _EIG_TOL before returning; eigenvalues come back sorted ascending.
     """
     import numpy as np
 
@@ -406,10 +408,10 @@ def eig_real_symmetric(m: np.ndarray, tol: float = 1e-10) -> list[float]:
     else:
         raise ConvergenceError("Jacobi sweeps did not reduce the off-diagonal norm")
     eigs = np.diag(a).copy()
-    if abs(float(np.sum(eigs)) - trace) > tol * scale_ref * n:
+    if abs(float(np.sum(eigs)) - trace) > _EIG_TOL * scale_ref * n:
         raise ConvergenceError("eigenvalue sum drifted away from the trace")
     residual = np.max(np.abs(np.array(m, dtype=np.float64) @ v - v * eigs))
-    if residual > tol * scale_ref * n:
+    if residual > _EIG_TOL * scale_ref * n:
         raise ConvergenceError(f"eigenvector residual {residual:.3e} too large")
     return sorted(float(x) for x in eigs)
 
@@ -434,18 +436,18 @@ def closed_form_A2a(a: float) -> list[float]:
     return [first[0], first[1], second_plus, second_plus, second_minus, second_minus]
 
 
-def _poly3(pairs) -> ScaledPoly:
-    return ScaledPoly(6, 3, tuple(CycInt(3, [a, b]) for a, b in pairs))
+def _poly3(pairs) -> CharPoly:
+    return CharPoly(6, 3, tuple(CycInt(3, [a, b]) for a, b in pairs))
 
 
-def _poly4(pairs) -> ScaledPoly:
-    return ScaledPoly(6, 4, tuple(CycInt(4, [a, b]) for a, b in pairs))
+def _poly4(pairs) -> CharPoly:
+    return CharPoly(6, 4, tuple(CycInt(4, [a, b]) for a, b in pairs))
 
 
 # Published spectral functions, one e-vector per catalog name, coefficients as
 # (integer, zeta-coefficient) pairs for degrees 0..6. These are the reference
 # values the computed polynomials are audited against.
-REFERENCE_SPECTRAL_FUNCTIONS: dict[str, ScaledPoly] = {
+REFERENCE_SPECTRAL_FUNCTIONS: dict[str, CharPoly] = {
     "A10": _poly3([(-216, 0), (144, 72), (-18, -36), (6, 12), (-3, -6), (-2, 2), (1, 0)]),
     "A20": _poly3([(-216, 0), (-144, -72), (-36, -18), (-6, -12), (3, -3), (2, -2), (1, 0)]),
     "A30": _poly3([(-216, 0), (-72, -144), (36, 18), (6, 12), (-3, 3), (-2, -4), (1, 0)]),

@@ -1,6 +1,12 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+# The benchmark's own copy of the published grids, read here as an oracle
+# that does not come from the catalog's derivation.
+_PUBLISHED = Path(__file__).resolve().parent.parent / "benchmarks" / "catalog_copy.json"
 
 
 def _haagerup_quadruples(b):
@@ -14,3 +20,10 @@ def _haagerup_quadruples(b):
 @pytest.fixture
 def haagerup_reference():
     return _haagerup_quadruples
+
+
+@pytest.fixture(scope="session")
+def published_catalog():
+    """Published root order and exponent grid of each catalog entry, by name."""
+    with open(_PUBLISHED, encoding="utf-8") as fh:
+        return json.load(fh)

@@ -7,12 +7,10 @@ from hadamard6 import catalog
 from hadamard6.catalog import (
     DISPUTED_READINGS,
     VARIANT_ASSIGNMENTS,
-    XyzAssignment,
     agaian_symmetric,
     agaian_variant,
     diagonal_normalized,
 )
-from hadamard6.cyclo import CycInt
 from hadamard6.matrices import ButsonMatrix, is_hadamard_exact
 
 rng = random.Random(77)
@@ -47,20 +45,22 @@ def test_every_catalog_matrix_is_hadamard():
 
 
 def test_variant_assignment_validation():
-    w = CycInt.zeta(3)
     with pytest.raises(ValueError):
-        XyzAssignment(w, w, CycInt.from_int(3, 1))
+        agaian_variant(1, 1, 0)
+    # Exponents are reduced mod 3 before the permutation check.
+    assert agaian_variant(3, 4, 5) == agaian_variant(0, 1, 2)
 
 
-def test_variants_reproduce_catalog_grids():
-    for name, (ex, ey, ez) in VARIANT_ASSIGNMENTS.items():
-        sigma = XyzAssignment.from_exponents(ex, ey, ez)
-        assert agaian_variant(sigma) == catalog.get(name), name
+def test_derived_catalog_reproduces_published_grids(published_catalog):
+    # The A-family is derived from the template; the published grids pin it.
+    assert list(published_catalog) == catalog.names()
+    for name, ref in published_catalog.items():
+        b = catalog.get(name)
+        assert (b.q, [list(row) for row in b.exponents]) == (ref["q"], ref["grid"]), name
 
 
 def test_all_variants_hadamard_and_pairwise_distinct():
-    grids = [agaian_variant(XyzAssignment.from_exponents(*e))
-             for e in VARIANT_ASSIGNMENTS.values()]
+    grids = [agaian_variant(*e) for e in VARIANT_ASSIGNMENTS.values()]
     for g in grids:
         assert is_hadamard_exact(g)
     for i, a in enumerate(grids):

@@ -38,6 +38,13 @@ def test_catalog_show_requires_name(capsys):
     assert exc.value.code == 2
 
 
+def test_catalog_show_unknown_name_prints_plain_message(capsys):
+    assert cli.main(["catalog", "show", "Z9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown catalog name 'Z9'; known: A1, ")
+    assert '"' not in err
+
+
 def test_verify_catalog_names(capsys):
     assert run(capsys, "verify", "A1")[0] == 0
     assert run(capsys, "verify", "M61")[0] == 0
@@ -91,8 +98,8 @@ def test_charpoly_json_matches_library(capsys):
     code, out = run(capsys, "charpoly", "A10", "--json")
     assert code == 0
     payload = json.loads(out)
-    from hadamard6.invariants import charpoly_exact, scale
-    expected = [list(c.coeffs) for c in scale(charpoly_exact(catalog.get("A10")), 6).e]
+    from hadamard6.invariants import charpoly_exact
+    expected = [list(c.coeffs) for c in charpoly_exact(catalog.get("A10")).e]
     assert payload["charpoly"]["e"] == expected
     assert payload["q"] == 3 and payload["n"] == 6
 
@@ -136,6 +143,12 @@ def test_defect_values(capsys):
     assert code == 0 and "defect: 0" in out
     code, out = run(capsys, "defect", "F6")
     assert code == 0 and "defect: 4" in out
+
+
+def test_defect_of_one_by_one(capsys, tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("BH 3 1\n0\n")
+    assert run(capsys, "defect", str(path)) == (0, "defect: 0\n")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -146,6 +146,14 @@ def test_norm_is_nonnegative_real(triple):
     assert v.real > -1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 6, 12]), st.integers(-10**20, 10**20))
+def test_integer_elements_hash_like_ints(q, value):
+    a = CycInt.from_int(q, value)
+    assert a == value and hash(a) == hash(value)
+    assert len({a, value}) == 1
+
+
 def test_conjugate_matches_complex_conjugate():
     for q in (3, 4, 6):
         a = CycInt(q, [2, -3])

@@ -11,10 +11,9 @@ from hadamard6.cyclo import CycInt
 from hadamard6.invariants import (
     REFERENCE_SPECTRA,
     REFERENCE_SPECTRAL_FUNCTIONS,
+    CharPoly,
     ConvergenceError,
-    ExactPoly,
     IndeterminateRankError,
-    ScaledPoly,
     _horner,
     charpoly_exact,
     closed_form_A2a,
@@ -34,8 +33,7 @@ rng = random.Random(4242)
 
 
 def scaled(name):
-    b = catalog.get(name)
-    return scale(charpoly_exact(b), b.n)
+    return charpoly_exact(catalog.get(name))
 
 
 def random_standard_transform(b):
@@ -51,13 +49,13 @@ def random_standard_transform(b):
 
 def test_charpoly_one_by_one():
     p = charpoly_exact(ButsonMatrix(3, [[0]]))
-    assert [tuple(c.coeffs) for c in p.coeffs] == [(-1, 0), (1, 0)]  # x - 1
+    assert [tuple(c.coeffs) for c in p.e] == [(-1, 0), (1, 0)]  # x - 1
 
 
 def test_charpoly_two_by_two_hand_value():
     # [[1, 1], [1, -1]] has det = -2 and trace 0, so det(xI - M) = x^2 - 2.
     p = charpoly_exact(ButsonMatrix(2, [[0, 0], [0, 1]]))
-    assert [tuple(c.coeffs) for c in p.coeffs] == [(-2,), (0,), (1,)]
+    assert [tuple(c.coeffs) for c in p.e] == [(-2,), (0,), (1,)]
 
 
 def _perm_sign(perm):
@@ -79,7 +77,7 @@ def leibniz_charpoly(b):
             for perm in permutations(range(k)):
                 s = sum(e[subset[pos]][subset[perm[pos]]] for pos in range(k))
                 acc[k][s % q] += _perm_sign(perm)
-    return ExactPoly(q, tuple(
+    return CharPoly(n, q, tuple(
         CycInt(q, [(-1) ** (n - d) * v for v in acc[n - d]]) for d in range(n + 1)))
 
 
@@ -111,12 +109,12 @@ def test_charpoly_matches_sympy_beyond_dimension_eight():
         low = [int(v) for v in reversed(sympy.Poly(sympy.rem(c, phi, z), z).all_coeffs())]
         expected.append(tuple(low + [0] * (width - len(low))))
     got = charpoly_exact(ButsonMatrix(q, grid))
-    assert [c.coeffs for c in got.coeffs] == expected
+    assert [c.coeffs for c in got.e] == expected
 
 
 def test_charpoly_is_monic():
     for name in ("A1", "M6", "F6"):
-        assert charpoly_exact(catalog.get(name)).coeffs[-1] == 1
+        assert charpoly_exact(catalog.get(name)).e[-1] == 1
 
 
 def test_top_coefficient_is_minus_trace():
@@ -126,7 +124,7 @@ def test_top_coefficient_is_minus_trace():
         tr = CycInt.from_int(b.q, 0)
         for i in range(6):
             tr = tr + b.value(i, i)
-        assert scale(charpoly_exact(b), 6).e[5] == -tr, name
+        assert charpoly_exact(b).e[5] == -tr, name
 
 
 def test_charpolys_match_reference_displays():
@@ -149,7 +147,7 @@ def test_unit_diagonal_forms_share_integer_charpoly():
 
 
 def test_a1_charpoly_invariant_under_root_conjugation():
-    assert poly_eq(scaled("A1"), scale(charpoly_exact(catalog.get("A1").conjugated()), 6))
+    assert poly_eq(scaled("A1"), charpoly_exact(catalog.get("A1").conjugated()))
 
 
 def test_charpoly_permutation_conjugation_invariance():
@@ -167,8 +165,9 @@ def test_charpoly_permutation_conjugation_invariance():
 def test_scale_binomial_example():
     # (x - 1)^6: the x^5 coefficient of the scaled view is -6/sqrt(6).
     coeffs = [1, -6, 15, -20, 15, -6, 1]
-    p = ExactPoly(3, tuple(CycInt.from_int(3, c) for c in coeffs))
+    p = CharPoly(6, 3, tuple(CycInt.from_int(3, c) for c in coeffs))
     s = scale(p, 6)
+    assert s is p
     assert s.e[5] == -6
     assert abs(s.complex_coeffs()[5] - (-6 / math.sqrt(6))) < 1e-15
 
@@ -195,20 +194,23 @@ def test_poly_eq_examples():
 def test_poly_eq_across_root_orders():
     # (x^2 - 1)^3 written over the order-3 ring equals M6's order-4 polynomial.
     ints = [-216, 0, 108, 0, -18, 0, 1]
-    other = ScaledPoly(6, 3, tuple(CycInt.from_int(3, c) for c in ints))
+    other = CharPoly(6, 3, tuple(CycInt.from_int(3, c) for c in ints))
     assert poly_eq(other, scaled("M6"))
     assert not poly_eq(other, scaled("A10"))
 
 
 def test_poly_eq_dimension_mismatch():
-    p1 = scale(charpoly_exact(ButsonMatrix(3, [[0]])), 1)
+    p1 = charpoly_exact(ButsonMatrix(3, [[0]]))
     with pytest.raises(ValueError):
         poly_eq(p1, scaled("A10"))
 
 
 def test_scaled_poly_requires_monic():
+    one, two = CycInt.from_int(3, 1), CycInt.from_int(3, 2)
     with pytest.raises(ValueError):
-        ScaledPoly(1, 3, (CycInt.from_int(3, 1), CycInt.from_int(3, 2)))
+        CharPoly(1, 3, (one, two))
+    with pytest.raises(ValueError):
+        CharPoly(2, 3, (two, one))  # one coefficient short of degree 2
 
 
 # --- numeric spectra ---------------------------------------------------------
@@ -250,7 +252,7 @@ def test_spectrum_matches_lapack_eigenvalues():
     # Cross-check the polynomial-root path against an independent eigensolver.
     for name in ("A10", "A02", "M61"):
         b = catalog.get(name)
-        spec = spectrum_numeric(scale(charpoly_exact(b), 6))
+        spec = spectrum_numeric(charpoly_exact(b))
         ev = np.linalg.eigvals(b.to_complex() / math.sqrt(6))
         ref = [(complex(v), 1) for v in ev]
         assert spectrum_distance(spec, ref) < 1e-8
@@ -329,6 +331,14 @@ def test_defect_invariant_under_standard_transforms():
 def test_defect_rejects_non_hadamard():
     with pytest.raises(ValueError):
         defect(ButsonMatrix(3, [[0] * 6 for _ in range(6)]))
+
+
+def test_defect_of_one_by_one_is_zero():
+    # No row pairs: an empty system, rank 0, and defect 1 - 0 - (2 - 1) = 0.
+    b = ButsonMatrix(3, [[1]])
+    assert deformation_system(b).shape == (0, 1)
+    assert rank_from_singular_values([], 1e-8) == 0
+    assert defect(b) == 0
 
 
 def test_deformation_system_shape():
