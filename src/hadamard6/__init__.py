@@ -22,11 +22,12 @@ from .catalog import (
 from .invariants import (
     CharPoly,
     ConvergenceError,
-    IndeterminateRankError,
+    RankCertificate,
     Spectrum,
     charpoly_exact,
     closed_form_A2a,
     defect,
+    defect_certificate,
     deformation_system,
     eig_real_symmetric,
     haagerup_set,
@@ -48,12 +49,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ButsonMatrix", "CatalogEntry", "CharPoly", "ConvergenceError", "CycInt",
-    "EquivVerdict", "IndeterminateRankError", "OrderMismatchError", "PhaseVector",
+    "EquivVerdict", "OrderMismatchError", "PhaseVector", "RankCertificate",
     "Spectrum", "Witness", "agaian_symmetric", "agaian_variant", "apply_witness",
     "charpoly_exact", "classify", "closed_form_A2a", "cyclotomic_coeffs", "defect",
-    "deformation_system", "dephase", "diagonal_normalized", "eig_real_symmetric",
-    "euler_phi", "format_matrix", "get", "haagerup_set", "is_hadamard_exact",
-    "is_hadamard_numeric", "names", "parse_matrix", "poly_eq", "rephase", "scale",
-    "spectrum_distance", "spectrum_numeric", "standard_equivalent",
+    "defect_certificate", "deformation_system", "dephase", "diagonal_normalized",
+    "eig_real_symmetric", "euler_phi", "format_matrix", "get", "haagerup_set",
+    "is_hadamard_exact", "is_hadamard_numeric", "names", "parse_matrix", "poly_eq",
+    "rephase", "scale", "spectrum_distance", "spectrum_numeric", "standard_equivalent",
     "unitary_equivalent",
 ]

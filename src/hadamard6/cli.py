@@ -2,8 +2,8 @@
 and a one-shot audit report with one record per published claim.
 
 Exit codes: 0 success / property true, 1 property false or a refuted claim,
-2 usage or malformed input, 3 numeric failure (root convergence or an
-indeterminate rank decision).
+2 usage or malformed input, 3 numeric failure (root or eigensolver
+convergence).
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from .invariants import (
     REFERENCE_SPECTRA,
     REFERENCE_SPECTRAL_FUNCTIONS,
     ConvergenceError,
-    IndeterminateRankError,
+    RankCertificate,
     charpoly_exact,
     closed_form_A2a,
-    defect,
-    deformation_system,
+    defect_certificate,
     eig_real_symmetric,
     poly_eq,
     spectrum_distance,
@@ -175,9 +174,10 @@ def cmd_dephase(args) -> int:
 
 def cmd_defect(args) -> int:
     b = _resolve_exact(args.matrix)
-    d = defect(b, tol=args.tol)
-    payload = {"name": _name_of(args.matrix), "q": b.q, "n": b.n, "defect": d}
-    _emit(args, payload, f"defect: {d}")
+    cert = defect_certificate(b)
+    payload = {"name": _name_of(args.matrix), "q": b.q, "n": b.n, "defect": cert.defect,
+               "rank": cert.rank, "primes": cert.primes}
+    _emit(args, payload, f"defect: {cert.defect}")
     return 0
 
 
@@ -331,19 +331,21 @@ def _claim_standard_classes() -> ClaimRecord:
         CONFIRMED if ok else REFUTED)
 
 
-def _claim_isolation() -> ClaimRecord:
-    import numpy as np
+def _rank_text(cert: RankCertificate) -> str:
+    if cert.rank == cert.columns:
+        return f"rank {cert.rank} of {cert.columns} mod one prime"
+    return (f"rank {cert.rank} of {cert.columns}, certified by {cert.primes} prime "
+            f"ideals whose norms multiply past the Hadamard bound 2^{cert.bound_bits}")
 
-    d1 = defect(catalog.get("A1"))
-    df = defect(catalog.get("F6"))
-    sig1 = np.linalg.svd(deformation_system(catalog.get("A1")), compute_uv=False)
-    ratios = sig1 / sig1[0]
-    gap_ok = all(r > 1e-4 or r < 1e-8 for r in ratios)
-    ok = d1 == 0 and df == 4 and gap_ok
+
+def _claim_isolation() -> ClaimRecord:
+    c1 = defect_certificate(catalog.get("A1"))
+    cf = defect_certificate(catalog.get("F6"))
+    ok = c1.defect == 0 and cf.defect == 4
     return ClaimRecord(
         "C9", "defect(A1) = 0 certifies isolation; control defect(F6) = 4",
-        (f"defect(A1)={d1}, defect(F6)={df}; retained/discarded singular value "
-         f"ratios split cleanly at 1e-4 / 1e-8: {gap_ok}"),
+        (f"defect(A1)={c1.defect}, defect(F6)={cf.defect}; exact ranks over Q(zeta): "
+         f"A1 {_rank_text(c1)}; F6 {_rank_text(cf)}"),
         CONFIRMED if ok else REFUTED)
 
 
@@ -361,17 +363,15 @@ def _claim_class_counts() -> ClaimRecord:
 
 
 def _claim_symmetric_family() -> ClaimRecord:
-    import numpy as np
-
     rt6 = math.sqrt(6.0)
     notes = []
     identities_ok = True
     any_mismatch = False
     for a in (0.0, 0.5, 1.0, 2.0, 3.0):
-        m = catalog.agaian_symmetric(a)
+        m = catalog._agaian_symmetric_rows(a)
         eig = eig_real_symmetric(m)
-        trace_err = abs(sum(eig) - float(np.trace(m)))
-        frob_err = abs(sum(x * x for x in eig) - float(np.sum(m * m)))
+        trace_err = abs(sum(eig) - sum(row[i] for i, row in enumerate(m)))
+        frob_err = abs(sum(x * x for x in eig) - sum(x * x for row in m for x in row))
         if trace_err > 1e-10 or frob_err > 1e-10:
             identities_ok = False
         formula = sorted(closed_form_A2a(a))
@@ -380,7 +380,7 @@ def _claim_symmetric_family() -> ClaimRecord:
         if min(dev_scaled, dev_plain) > 1e-10:
             any_mismatch = True
         notes.append(f"a={_f(a)}: dev/sqrt6={_f(dev_scaled)} dev={_f(dev_plain)}")
-    eig1 = eig_real_symmetric(catalog.agaian_symmetric(1.0))
+    eig1 = eig_real_symmetric(catalog._agaian_symmetric_rows(1.0))
     rank_one_ok = abs(eig1[-1] - 6.0) <= 1e-10 and \
         max(abs(x) for x in eig1[:-1]) <= 1e-10
     status = REFUTED if not (identities_ok and rank_one_ok) else (
@@ -465,9 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dephase)
 
-    p = sub.add_parser("defect", help="first-order deformation defect")
+    p = sub.add_parser("defect", help="first-order deformation defect (exact)")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_defect)
 
@@ -492,7 +491,7 @@ def main(argv=None) -> int:
         parser.error("catalog show needs a name")
     try:
         return args.func(args)
-    except (ConvergenceError, IndeterminateRankError) as exc:
+    except ConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except KeyError as exc:

@@ -177,16 +177,24 @@ class CycInt:
     def __bool__(self) -> bool:
         return any(self._coeffs)
 
+    def _is_rational(self) -> bool:
+        return not any(self._coeffs[1:])
+
     def __eq__(self, other: object) -> bool:
+        # Across root orders only rational integers compare equal, which keeps
+        # equality transitive through the ints that equal them.
         if isinstance(other, int):
-            return self == CycInt.from_int(self._q, other)
+            return self._is_rational() and self._coeffs[0] == other
         if isinstance(other, CycInt):
-            return self._q == other._q and self._coeffs == other._coeffs
+            if self._q == other._q:
+                return self._coeffs == other._coeffs
+            return self._is_rational() and other._is_rational() \
+                and self._coeffs[0] == other._coeffs[0]
         return NotImplemented
 
     def __hash__(self) -> int:
         # Integers compare equal to CycInt elements, so they must hash alike.
-        if not any(self._coeffs[1:]):
+        if self._is_rational():
             return hash(self._coeffs[0])
         return hash((self._q, self._coeffs))
 

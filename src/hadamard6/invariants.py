@@ -9,6 +9,14 @@ the x^k coefficient of det(xI - H), and the same tuple describes
 det(xI - H/sqrt(n)), whose x^k coefficient is e_k * n^(-(n-k)/2). Every
 sqrt(n) power is bookkeeping, so comparing spectra of H/sqrt(n) is an exact
 integer-cyclotomic test.
+
+The defect is exact too: the rank of the deformation system over Q(zeta_q) is
+computed by Gaussian elimination modulo prime ideals p of norm p < 2^62. Each
+such rank is a lower bound; full rank needs one prime, and a lower rank r is
+certified once the ideals at rank r have a norm product above the Hadamard
+bound (2(n-1))^((r+1) phi(q)/2) on every (r+1)-minor. No tolerance is involved.
+numpy is needed only by deformation_system, which builds the float system for
+comparison; eig_real_symmetric runs on Python lists.
 """
 
 from __future__ import annotations
@@ -17,11 +25,11 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, count, permutations
 from typing import TYPE_CHECKING
 
 from .cyclo import CycInt
-from .matrices import ButsonMatrix, is_hadamard_exact
+from .matrices import ButsonMatrix, dephase, is_hadamard_exact
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,10 +37,6 @@ if TYPE_CHECKING:
 
 class ConvergenceError(RuntimeError):
     """Root iteration failed to reach the requested residual."""
-
-
-class IndeterminateRankError(RuntimeError):
-    """A singular value fell inside the undecidable band around the rank cut."""
 
 
 @dataclass(frozen=True)
@@ -321,99 +325,247 @@ def deformation_system(b: ButsonMatrix) -> np.ndarray:
     return np.array(rows).reshape(-1, n * n)
 
 
-def rank_from_singular_values(sigmas, tol: float) -> int:
-    """Count singular values above the cut, refusing the band (tol, 10*tol).
+# Miller-Rabin with these bases is deterministic below 3.3e24, far above the
+# primes that _prime_ideals reaches.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    Ratios against the largest singular value below tol count as zero; a ratio
-    strictly inside the band means the rank cannot be certified. The cut
-    10*tol must lie below 1, or not even the largest singular value counts.
+# The prime ideals are searched downward from here, so each one adds about
+# 62 bits to the norm product of the certificate.
+_PRIME_CEILING = 1 << 62
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(q: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= q:
+        if q % f == 0:
+            out.append(f)
+            while q % f == 0:
+                q //= f
+        f += 1
+    return out + [q] if q > 1 else out
+
+
+def _prime_ideals(q: int):
+    """Degree-one prime ideals of Z[zeta_q], as (p, z) with zeta -> z mod p.
+
+    p runs over primes = 1 (mod q) downward from _PRIME_CEILING (upward past
+    it if those run out), and z over g^k for one g of order q in F_p and every
+    unit k mod q; each pair is a distinct prime ideal of norm p.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be a positive finite number")
-    if 10.0 * tol >= 1.0:
-        raise ValueError(f"tolerance {tol!r} leaves no room below the largest singular value")
-    import numpy as np
-
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    smax = float(np.max(sigmas, initial=0.0))  # no singular values: rank 0
-    if smax == 0.0:
-        return 0
-    ratios = sigmas / smax
-    if np.any((ratios > tol) & (ratios < 10.0 * tol)):
-        raise IndeterminateRankError(
-            "singular values inside the undecidable band; rank is ambiguous"
-        )
-    return int(np.sum(ratios >= 10.0 * tol))
+    factors = _prime_factors(q)
+    top = (_PRIME_CEILING - 1) // q
+    for k in chain(range(top, 0, -1), count(top + 1)):
+        p = k * q + 1
+        if not _is_prime(p):
+            continue
+        powers = (pow(c, (p - 1) // q, p) for c in count(2))
+        g = next(h for h in powers if all(pow(h, q // f, p) != 1 for f in factors))
+        for unit in range(q):
+            if math.gcd(unit, q) == 1:
+                yield p, pow(g, unit, p)
 
 
-def defect(b: ButsonMatrix, tol: float = 1e-8) -> int:
-    """Isolation certificate: 0 means no first-order deformations beyond phases.
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p by Gaussian elimination; row entries are residues mod p.
 
-    Rank is decided by singular values; anything in (tol, 10*tol) times the
-    largest singular value is refused rather than silently classified. The
-    2n - 1 phase directions always lie in the kernel, so a rank above
-    n^2 - (2n - 1) means the cut counted rounding noise and is refused too.
+    Each step consumes the leading column, so the rows shrink as it goes.
+    """
+    rank = 0
+    while rows and rows[0]:
+        pivot = next((r for r in rows if r[0]), None)
+        if pivot is None:
+            rows = [r[1:] for r in rows]
+            continue
+        rank += 1
+        inv = pow(pivot[0], -1, p)
+        head = [x * inv % p for x in pivot[1:]]
+        rows = [[(x - r[0] * y) % p for x, y in zip(r[1:], head)] if r[0] else r[1:]
+                for r in rows if r is not pivot]
+    return rank
+
+
+@dataclass(frozen=True)
+class RankCertificate:
+    """Exact rank of the gauge-fixed deformation system, and what it rests on.
+
+    rank is the rank over Q(zeta_q) of a system with `columns` unknowns, so
+    defect = columns - rank. A full rank needs one prime ideal. Otherwise
+    `primes` prime ideals saw this rank and their norms multiply past
+    2^bound_bits, the Hadamard bound on the norm of every (rank+1)-minor.
+    """
+
+    rank: int
+    columns: int
+    primes: int
+    bound_bits: int
+
+    @property
+    def defect(self) -> int:
+        return self.columns - self.rank
+
+
+def _deformation_exponents(b: ButsonMatrix) -> tuple[int, int, list]:
+    """(n, q, system): the gauge-fixed deformation system of b in exponent form.
+
+    b is dephased and its order divided by the gcd of the entries. The
+    system has one equation per ordered row pair i != j, stored as
+    (i, j, ds): the coefficient of R_ik is zeta_q^ds[k-1] and that of R_jk
+    its negative, for k >= 1; R is zero on the first row and column.
+    """
+    d = dephase(b)[0]
+    g = math.gcd(d.q, *(x for row in d.exponents for x in row))
+    q = d.q // g
+    e = [[x // g for x in row] for row in d.exponents]
+    n = d.n
+    system = [(i, j, [(e[i][k] - e[j][k]) % q for k in range(1, n)])
+              for i in range(n) for j in range(n) if i != j]
+    return n, q, system
+
+
+def _certify(n: int, q: int, system: list, ideals) -> RankCertificate:
+    """Exact rank of the system over Q(zeta_q) from its ranks at the given ideals.
+
+    ideals yields distinct prime ideals of prime norm p, each as (p, z) with
+    zeta -> z mod p. Raises ArithmeticError if they run out before the rank
+    is certified.
+    """
+    columns = (n - 1) ** 2
+    phi = q
+    for f in _prime_factors(q):
+        phi = phi // f * (f - 1)
+    exps = sorted({x for _, _, ds in system for x in ds})
+    rank, primes, norms, bound = -1, 0, 1, 1
+    for p, z in ideals:
+        image = dict(zip(exps, (pow(z, x, p) for x in exps)))
+        rows = []
+        for i, j, ds in system:
+            row = [0] * columns
+            for k, x in enumerate(ds):
+                if i:
+                    row[(i - 1) * (n - 1) + k] = image[x]
+                if j:
+                    row[(j - 1) * (n - 1) + k] = p - image[x]
+            rows.append(row)
+        r = _rank_mod(rows, p)
+        if r > rank:
+            rank, primes, norms = r, 0, 1
+            bound = (2 * (n - 1)) ** ((r + 1) * phi)  # the square of the norm bound
+        if r == rank:
+            primes, norms = primes + 1, norms * p
+        if rank == columns:
+            return RankCertificate(rank, columns, primes, 0)
+        if norms * norms > bound:
+            return RankCertificate(rank, columns, primes, ((bound - 1).bit_length() + 1) // 2)
+    raise ArithmeticError(f"rank {rank} of {columns} is not certified by the given ideals")
+
+
+def defect_certificate(b: ButsonMatrix) -> RankCertificate:
+    """Exact defect of a Butson Hadamard matrix, by rank modulo prime ideals.
+
+    The first-order deformations R (real n x n) satisfy
+    sum_k H_ik conj(H_jk) (R_ik - R_jk) = 0 for every ordered row pair i != j
+    (the pair (j, i) is the conjugate equation). The 2n - 1 phase directions
+    R_ij = a_i + b_j always solve it, and fixing R to zero on the first row and
+    column removes exactly them, so defect = (n-1)^2 - rank of what is left.
+    The grid is dephased and its order divided by the gcd of its entries;
+    every coefficient is then 0 or +-zeta_q^d.
+
+    Under a degree-one prime ideal (zeta -> z mod p) every minor that survives
+    was nonzero over Q(zeta_q), so each rank mod p is a lower bound. Full
+    column rank at one prime certifies defect 0. A lower rank r is exact once
+    the ideals at rank r have a norm product above (2(n-1))^((r+1) phi(q)/2):
+    a nonzero (r+1)-minor would lie in all of them, so its norm would be at
+    least that product, while rows of at most 2(n-1) unit entries bound every
+    conjugate of the minor by (2(n-1))^((r+1)/2) (Hadamard's inequality). The
+    defect follows Tadej & Zyczkowski (2006).
     """
     if not is_hadamard_exact(b):
         raise ValueError("defect is defined for Hadamard matrices only")
-    import numpy as np
-
-    sigmas = np.linalg.svd(deformation_system(b), compute_uv=False)
-    rank = rank_from_singular_values(sigmas, tol)
-    n = b.n
-    if rank > n * n - (2 * n - 1):
-        raise IndeterminateRankError(
-            f"rank {rank} exceeds n^2 - (2n - 1) = {n * n - (2 * n - 1)}; "
-            "the cut counted rounding noise"
-        )
-    return n * n - rank - (2 * n - 1)
+    n, q, system = _deformation_exponents(b)
+    return _certify(n, q, system, _prime_ideals(q))
 
 
-def eig_real_symmetric(m: np.ndarray) -> list[float]:
+def defect(b: ButsonMatrix) -> int:
+    """Isolation certificate: 0 means no first-order deformations beyond phases.
+
+    The value is exact (see defect_certificate); no tolerance is involved.
+    """
+    return defect_certificate(b).defect
+
+
+def eig_real_symmetric(m) -> list[float]:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-12. The
-    trace identity and the eigenvector residuals are checked against
-    _EIG_TOL before returning; eigenvalues come back sorted ascending.
+    m is a nested sequence or a 2-D ndarray; the work is on Python lists, and
+    each rotation updates two rows and two columns. Sweeps run until the
+    off-diagonal Frobenius norm drops below 1e-12. The trace identity and the
+    eigenvector residuals are checked against _EIG_TOL before returning;
+    eigenvalues come back sorted ascending.
     """
-    import numpy as np
-
-    a = np.array(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    try:
+        a = [[float(x) for x in row] for row in m]
+    except TypeError:
+        raise ValueError("matrix must be square") from None
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i, n)):
         raise ValueError("matrix must be exactly symmetric")
-    n = a.shape[0]
-    trace = float(np.trace(a))
-    scale_ref = max(1.0, float(np.max(np.abs(a))))
-    v = np.eye(n)
+    m0 = [row[:] for row in a]
+    trace = sum(a[i][i] for i in range(n))
+    scale_ref = max(1.0, max(abs(x) for row in a for x in row))
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
     for _ in range(100):
-        off = math.sqrt(2.0 * sum(a[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
+        off = math.sqrt(2.0 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)))
         if off < 1e-12:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(a[p, q]) <= off * 1e-20:
+                if abs(a[p][q]) <= off * 1e-20:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
+                # a <- R^T a R and v <- v R, R the rotation in the (p, q) plane.
+                for row in a + v:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+                ap, aq = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(ap, aq)]
+                a[q] = [s * x + c * y for x, y in zip(ap, aq)]
     else:
         raise ConvergenceError("Jacobi sweeps did not reduce the off-diagonal norm")
-    eigs = np.diag(a).copy()
-    if abs(float(np.sum(eigs)) - trace) > _EIG_TOL * scale_ref * n:
+    eigs = [a[i][i] for i in range(n)]
+    if abs(sum(eigs) - trace) > _EIG_TOL * scale_ref * n:
         raise ConvergenceError("eigenvalue sum drifted away from the trace")
-    residual = np.max(np.abs(np.array(m, dtype=np.float64) @ v - v * eigs))
+    residual = max(abs(sum(m0[i][k] * v[k][j] for k in range(n)) - v[i][j] * eigs[j])
+                   for i in range(n) for j in range(n))
     if residual > _EIG_TOL * scale_ref * n:
         raise ConvergenceError(f"eigenvector residual {residual:.3e} too large")
-    return sorted(float(x) for x in eigs)
+    return sorted(eigs)
 
 
 def closed_form_A2a(a: float) -> list[float]:

@@ -6,9 +6,10 @@ complex128; the only places they appear are the numeric verification path and
 the real symmetric family.
 
 numpy is imported inside the functions that build arrays, never at module
-level, so the exact paths run without it: `catalog`, `charpoly`, `spectrum`,
-`dephase`, `equiv standard`, `equiv unitary` and `verify` on a BH grid never
-load numpy, while `defect`, `verify` on a C grid and `report` do.
+level, so the exact paths run without it: every subcommand on BH grids and
+catalog names, `defect` and `report` included, runs without numpy. It is
+loaded only for C grids (parsing and `verify`), `to_complex`,
+`invariants.deformation_system` and `catalog.agaian_symmetric`.
 """
 
 from __future__ import annotations

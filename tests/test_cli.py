@@ -151,15 +151,21 @@ def test_defect_of_one_by_one(capsys, tmp_path):
     assert run(capsys, "defect", str(path)) == (0, "defect: 0\n")
 
 
+def test_defect_json_names_its_certificate(capsys):
+    code, out = run(capsys, "defect", "F6", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["defect"], payload["rank"], payload["primes"]) == (4, 21, 2)
+    code, out = run(capsys, "defect", "A1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["defect"], payload["rank"], payload["primes"]) == (0, 25, 1)
+
+
 @pytest.mark.parametrize("argv, code", [
-    (["defect", "A1", "--tol", "nan"], 2),
-    (["defect", "A1", "--tol", "inf"], 2),
-    (["defect", "A1", "--tol", "0.1"], 2),  # the cut 10*tol would exclude every value
-    (["defect", "A1", "--tol", "1e-300"], 3),  # rank above n^2 - (2n - 1)
     (["spectrum", "M61", "--tol", "nan"], 2),
     (["verify", "COMPLEX", "--tol", "nan"], 2),
-], ids=["defect-nan", "defect-inf", "defect-cut-above-1", "defect-rank-above-bound",
-        "spectrum-nan", "verify-complex-nan"])
+], ids=["spectrum-nan", "verify-complex-nan"])
 def test_unusable_tolerance_is_refused(capsys, tmp_path, argv, code):
     path = tmp_path / "m.txt"
     path.write_text(format_matrix(catalog.get("M6").to_complex()))
@@ -180,7 +186,8 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
         from hadamard6 import cli
         for argv in (["catalog", "list"], ["verify", "A1"], ["charpoly", "A10"],
                      ["spectrum", "M61"], ["dephase", "A10"],
-                     ["equiv", "unitary", "A01", "A02"], ["verify", sys.argv[1]]):
+                     ["equiv", "unitary", "A01", "A02"], ["verify", sys.argv[1]],
+                     ["defect", "A1"], ["defect", "F6"], ["report", "--json"]):
             cli.main(argv)
             assert "numpy" not in sys.modules, f"{argv} loaded numpy"
         for argv, code in ((["equiv", "standard", "M6", "M61"], 0),
@@ -195,7 +202,6 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
         assert "numpy" not in sys.modules, "classify loaded numpy"
         assert haagerup_set(m6) == haagerup_set(m61)
         assert "numpy" not in sys.modules, "haagerup_set loaded numpy"
-        print("defect-exit", cli.main(["defect", "A1"]))
         print("complex-exit", cli.main(["verify", sys.argv[2]]))
     """)
     src = os.path.dirname(os.path.dirname(hadamard6.__file__))
@@ -204,7 +210,7 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
                           capture_output=True, text=True, check=False, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "defect: 0" in lines and "defect-exit 0" in lines
+    assert "defect: 0" in lines and "defect: 4" in lines
     assert "hadamard: true (numeric)" in lines and "complex-exit 0" in lines
 
 

@@ -154,6 +154,15 @@ def test_integer_elements_hash_like_ints(q, value):
     assert len({a, value}) == 1
 
 
+def test_equality_across_orders_is_transitive():
+    a, b = CycInt.from_int(3, 1), CycInt.from_int(4, 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({1, a, b}) == len({a, b, 1}) == len({b, 1, a}) == 1
+    z3, z6 = CycInt.zeta(3), CycInt.zeta(6, 2)
+    assert z3 != z6 and z3.to_order(6) == z6
+    assert len({z3, z6, 1, a}) == 3
+
+
 def test_conjugate_matches_complex_conjugate():
     for q in (3, 4, 6):
         a = CycInt(q, [2, -3])

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -13,16 +13,19 @@ from hadamard6.invariants import (
     REFERENCE_SPECTRAL_FUNCTIONS,
     CharPoly,
     ConvergenceError,
-    IndeterminateRankError,
+    _certify,
+    _deformation_exponents,
     _horner,
+    _prime_ideals,
+    _rank_mod,
     charpoly_exact,
     closed_form_A2a,
     defect,
+    defect_certificate,
     deformation_system,
     eig_real_symmetric,
     haagerup_set,
     poly_eq,
-    rank_from_singular_values,
     scale,
     spectrum_distance,
     spectrum_numeric,
@@ -337,7 +340,6 @@ def test_defect_of_one_by_one_is_zero():
     # No row pairs: an empty system, rank 0, and defect 1 - 0 - (2 - 1) = 0.
     b = ButsonMatrix(3, [[1]])
     assert deformation_system(b).shape == (0, 1)
-    assert rank_from_singular_values([], 1e-8) == 0
     assert defect(b) == 0
 
 
@@ -353,14 +355,73 @@ def test_defect_rank_gap_is_clean():
         assert all(r < 1e-8 or r > 1e-4 for r in ratios), name
 
 
-def test_rank_from_singular_values():
-    assert rank_from_singular_values([1.0, 0.5, 1e-12], 1e-8) == 2
-    assert rank_from_singular_values([1.0, 1e-9], 1e-8) == 1
-    assert rank_from_singular_values([0.0, 0.0], 1e-8) == 0
-    with pytest.raises(IndeterminateRankError):
-        rank_from_singular_values([1.0, 5e-8], 1e-8)
-    with pytest.raises(ValueError):
-        rank_from_singular_values([1.0], 0.0)
+def fourier(n):
+    return ButsonMatrix(n, [[i * j % n for j in range(n)] for i in range(n)])
+
+
+def fourier_defect(n):
+    return sum(math.gcd(i, n) for i in range(n)) - (2 * n - 1)
+
+
+def svd_defect(b):
+    # The float oracle: numpy's rank of the real n(n-1) x n^2 system.
+    n = b.n
+    return n * n - np.linalg.matrix_rank(deformation_system(b)) - (2 * n - 1)
+
+
+def test_defect_of_fourier_matrices():
+    for n in range(1, 13):
+        assert defect(fourier(n)) == fourier_defect(n), n
+
+
+def test_defect_of_random_equivalents_and_lifts():
+    sources = [(name, catalog.get(name)) for name in catalog.names()]
+    sources += [(f"F{n}", fourier(n)) for n in range(5, 9)]
+    for name, b in sources:
+        want = svd_defect(b)
+        if name.startswith("F"):
+            assert want == fourier_defect(b.n), name
+        for lift in (1, 2):
+            c = random_standard_transform(b.to_order(b.q * lift))
+            assert defect(c) == want == svd_defect(c), (name, lift)
+
+
+def test_rank_mod_drops_at_a_dividing_prime():
+    rows = [[1, 2], [3, 1]]  # det -5
+    assert _rank_mod(rows, 5) == 1
+    assert _rank_mod(rows, 7) == 2
+    assert _rank_mod([[0, 0], [0, 0]], 7) == 0
+    assert _rank_mod([], 7) == 0
+
+
+def test_certificate_does_not_accept_a_dropped_rank():
+    # zeta -> 1 mod 3 is the prime ideal (1 - zeta) of norm 3 in Z[zeta_3];
+    # zeta_6 -> 2 mod 3 the one above 3 in Z[zeta_6]. The rank drops there.
+    for name, low, ideal in (("A1", 5, (3, 1)), ("F6", 9, (3, 2))):
+        n, q, system = _deformation_exponents(catalog.get(name))
+        with pytest.raises(ArithmeticError, match=f"rank {low} of 25 is not certified"):
+            _certify(n, q, system, [ideal])
+        cert = _certify(n, q, system, chain([ideal], _prime_ideals(q)))
+        assert cert == defect_certificate(catalog.get(name))
+        assert cert.rank > low
+
+
+def test_prime_ideals_have_order_q():
+    for q in (1, 2, 3, 4, 6, 12, 16):
+        ideals = list(islice(_prime_ideals(q), 5))
+        for p, z in ideals:
+            assert p < 2 ** 62 and (p - 1) % q == 0
+            assert pow(z, q, p) == 1
+            assert all(pow(z, k, p) != 1 for k in range(1, q))
+        assert len(set(ideals)) == len(ideals)
+
+
+def test_defect_certificate_fields():
+    a1 = defect_certificate(catalog.get("A1"))
+    assert (a1.rank, a1.columns, a1.primes, a1.bound_bits, a1.defect) == (25, 25, 1, 0, 0)
+    f6 = defect_certificate(catalog.get("F6"))
+    # (2(n-1))^((r+1) phi(q)/2) = 10^22 < 2^74, and two ~62-bit primes pass it.
+    assert (f6.rank, f6.columns, f6.primes, f6.bound_bits, f6.defect) == (21, 25, 2, 74, 4)
 
 
 # --- real symmetric family -----------------------------------------------------
