@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import TYPE_CHECKING
 
 from .matrices import ButsonMatrix, dephase
@@ -119,30 +120,17 @@ def agaian_variant(ex: int, ey: int, ez: int) -> ButsonMatrix:
 
 
 def diagonal_normalized(b: ButsonMatrix) -> ButsonMatrix:
-    """Row permutation placing exponent 0 on the whole diagonal (lex-smallest)."""
-    n = b.n
-    candidates = [
-        [i for i in range(n) if b.entry(i, j) == 0] for j in range(n)
-    ]
+    """Row permutation placing exponent 0 on the whole diagonal.
 
-    def assign(j: int, used: set[int], acc: list[int]):
-        if j == n:
-            return list(acc)
-        for i in candidates[j]:
-            if i not in used:
-                used.add(i)
-                acc.append(i)
-                found = assign(j + 1, used, acc)
-                if found is not None:
-                    return found
-                acc.pop()
-                used.remove(i)
-        return None
-
-    perm = assign(0, set(), [])
+    It is the first such permutation in itertools order, the lexicographic
+    order in which the standard-equivalence search walks row permutations.
+    """
+    e = b.exponents
+    perm = next((p for p in permutations(range(b.n))
+                 if all(e[i][j] == 0 for j, i in enumerate(p))), None)
     if perm is None:
         raise ValueError("no row permutation puts unit entries on the diagonal")
-    return b.permuted(perm, range(n))
+    return b.permuted(perm, range(b.n))
 
 
 def _agaian_symmetric_rows(a: float) -> list[list[float]]:

@@ -95,7 +95,7 @@ def _name_of(source: str) -> str:
 
 
 def _emit(args, payload: dict, plain: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(plain, end="" if plain.endswith("\n") else "\n")
@@ -103,14 +103,11 @@ def _emit(args, payload: dict, plain: str) -> None:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        if args.json:
-            print(json.dumps({"catalog": [
-                {"name": e.name, "q": e.matrix.q, "n": e.matrix.n, "note": e.note}
-                for e in catalog.entries()
-            ], }, indent=2))
-        else:
-            for e in catalog.entries():
-                print(f"{e.name:4s} q={e.matrix.q} n={e.matrix.n}  {e.note}")
+        entries = catalog.entries()
+        payload = {"catalog": [{"name": e.name, "q": e.matrix.q, "n": e.matrix.n,
+                                "note": e.note} for e in entries]}
+        _emit(args, payload, "\n".join(
+            f"{e.name:4s} q={e.matrix.q} n={e.matrix.n}  {e.note}" for e in entries))
         return 0
     b = catalog.get(args.name)
     payload = {"name": args.name, "q": b.q, "n": b.n,
@@ -440,47 +437,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list the catalog or show one matrix")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?", help="catalog name (for 'show')")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("verify", help="Hadamard verdict (exact for BH, numeric for C)")
     p.add_argument("matrix", help="catalog name, file path, or - for stdin")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("charpoly", help="exact scaled characteristic polynomial")
     p.add_argument("matrix")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("spectrum", help="numeric spectrum with multiplicities")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("dephase", help="standard form plus reconstructing phases")
     p.add_argument("matrix")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dephase)
 
     p = sub.add_parser("defect", help="first-order deformation defect (exact)")
     p.add_argument("matrix")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_defect)
 
     p = sub.add_parser("equiv", help="decide equivalence of two matrices")
     p.add_argument("mode", choices=["standard", "unitary"])
     p.add_argument("matrix1")
     p.add_argument("matrix2")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("report", help="audit every published claim")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -17,8 +17,28 @@ class OrderMismatchError(ValueError):
     """Two cyclotomic integers of different root orders were combined."""
 
 
+def _prime_factors(q: int) -> list[int]:
+    # Distinct primes dividing q, ascending, by trial division; each factor
+    # found is divided out, so the loop stops at the square root of what is
+    # left.
+    out, f = [], 2
+    while f * f <= q:
+        if q % f == 0:
+            out.append(f)
+            while q % f == 0:
+                q //= f
+        f += 1
+    return out + [q] if q > 1 else out
+
+
 def euler_phi(q: int) -> int:
-    return sum(1 for k in range(1, q + 1) if math.gcd(k, q) == 1)
+    """Number of units mod q, from the product formula over primes dividing q."""
+    if q < 1:
+        raise ValueError("root order must be positive")
+    phi = q
+    for f in _prime_factors(q):
+        phi = phi // f * (f - 1)
+    return phi
 
 
 def _exact_div(num: list[int], den: list[int]) -> list[int]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, count, permutations
 from typing import TYPE_CHECKING
 
-from .cyclo import CycInt
+from .cyclo import CycInt, _prime_factors, euler_phi
 from .matrices import ButsonMatrix, dephase, is_hadamard_exact
 
 if TYPE_CHECKING:
@@ -356,17 +356,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _prime_factors(q: int) -> list[int]:
-    out, f = [], 2
-    while f * f <= q:
-        if q % f == 0:
-            out.append(f)
-            while q % f == 0:
-                q //= f
-        f += 1
-    return out + [q] if q > 1 else out
-
-
 def _prime_ideals(q: int):
     """Degree-one prime ideals of Z[zeta_q], as (p, z) with zeta -> z mod p.
 
@@ -452,9 +441,7 @@ def _certify(n: int, q: int, system: list, ideals) -> RankCertificate:
     is certified.
     """
     columns = (n - 1) ** 2
-    phi = q
-    for f in _prime_factors(q):
-        phi = phi // f * (f - 1)
+    phi = euler_phi(q)
     exps = sorted({x for _, _, ds in system for x in ds})
     rank, primes, norms, bound = -1, 0, 1, 1
     for p, z in ideals:
@@ -588,28 +575,24 @@ def closed_form_A2a(a: float) -> list[float]:
     return [first[0], first[1], second_plus, second_plus, second_minus, second_minus]
 
 
-def _poly3(pairs) -> CharPoly:
-    return CharPoly(6, 3, tuple(CycInt(3, [a, b]) for a, b in pairs))
-
-
-def _poly4(pairs) -> CharPoly:
-    return CharPoly(6, 4, tuple(CycInt(4, [a, b]) for a, b in pairs))
+def _poly(q: int, pairs) -> CharPoly:
+    return CharPoly(6, q, tuple(CycInt(q, [a, b]) for a, b in pairs))
 
 
 # Published spectral functions, one e-vector per catalog name, coefficients as
 # (integer, zeta-coefficient) pairs for degrees 0..6. These are the reference
 # values the computed polynomials are audited against.
 REFERENCE_SPECTRAL_FUNCTIONS: dict[str, CharPoly] = {
-    "A10": _poly3([(-216, 0), (144, 72), (-18, -36), (6, 12), (-3, -6), (-2, 2), (1, 0)]),
-    "A20": _poly3([(-216, 0), (-144, -72), (-36, -18), (-6, -12), (3, -3), (2, -2), (1, 0)]),
-    "A30": _poly3([(-216, 0), (-72, -144), (36, 18), (6, 12), (-3, 3), (-2, -4), (1, 0)]),
-    "A40": _poly3([(-216, 0), (72, 144), (18, -18), (-6, -12), (-6, -3), (2, 4), (1, 0)]),
-    "A50": _poly3([(-216, 0), (-72, 72), (-18, 18), (6, 12), (6, 3), (4, 2), (1, 0)]),
-    "A60": _poly3([(-216, 0), (72, -72), (18, 36), (-6, -12), (3, 6), (-4, -2), (1, 0)]),
-    "A01": _poly3([(-216, 0), (-72, -36), (0, 0), (6, 12), (0, 0), (1, -1), (1, 0)]),
-    "A02": _poly3([(-216, 0), (-36, 36), (0, 0), (-6, -12), (0, 0), (2, 1), (1, 0)]),
-    "A03": _poly3([(-216, 0), (-72, -36), (0, 0), (6, 12), (0, 0), (1, -1), (1, 0)]),
-    "M6": _poly4([(-216, 0), (0, 0), (108, 0), (0, 0), (-18, 0), (0, 0), (1, 0)]),
+    "A10": _poly(3, [(-216, 0), (144, 72), (-18, -36), (6, 12), (-3, -6), (-2, 2), (1, 0)]),
+    "A20": _poly(3, [(-216, 0), (-144, -72), (-36, -18), (-6, -12), (3, -3), (2, -2), (1, 0)]),
+    "A30": _poly(3, [(-216, 0), (-72, -144), (36, 18), (6, 12), (-3, 3), (-2, -4), (1, 0)]),
+    "A40": _poly(3, [(-216, 0), (72, 144), (18, -18), (-6, -12), (-6, -3), (2, 4), (1, 0)]),
+    "A50": _poly(3, [(-216, 0), (-72, 72), (-18, 18), (6, 12), (6, 3), (4, 2), (1, 0)]),
+    "A60": _poly(3, [(-216, 0), (72, -72), (18, 36), (-6, -12), (3, 6), (-4, -2), (1, 0)]),
+    "A01": _poly(3, [(-216, 0), (-72, -36), (0, 0), (6, 12), (0, 0), (1, -1), (1, 0)]),
+    "A02": _poly(3, [(-216, 0), (-36, 36), (0, 0), (-6, -12), (0, 0), (2, 1), (1, 0)]),
+    "A03": _poly(3, [(-216, 0), (-72, -36), (0, 0), (6, 12), (0, 0), (1, -1), (1, 0)]),
+    "M6": _poly(4, [(-216, 0), (0, 0), (108, 0), (0, 0), (-18, 0), (0, 0), (1, 0)]),
 }
 
 _SQRT2 = math.sqrt(2.0)

@@ -201,44 +201,40 @@ def format_matrix(m: ButsonMatrix | np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Header fields of each text format; the last one is the dimension n.
+_HEADERS = {"BH": "BH <q> <n>", "C": "C <n>"}
+
+
+def _complex_entry(tok: str) -> complex:
+    re_s, _, im_s = tok.partition(",")
+    if not im_s:
+        raise ValueError(f"complex token must be 're,im', got {tok!r}")
+    return complex(float(re_s), float(im_s))
+
+
 def parse_matrix(text: str) -> ButsonMatrix | np.ndarray:
     """Parse the text interchange format; raises ValueError on malformed input."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix input")
     header = lines[0].split()
-    if header[0] == "BH":
-        if len(header) != 3:
-            raise ValueError("BH header must be 'BH <q> <n>'")
-        q, n = int(header[1]), int(header[2])
-        if len(lines) != n + 1:
-            raise ValueError(f"expected {n} matrix rows, got {len(lines) - 1}")
-        grid = []
-        for ln in lines[1:]:
-            row = [int(tok) for tok in ln.split()]
-            if len(row) != n:
-                raise ValueError(f"expected {n} entries per row")
-            grid.append(row)
-        return ButsonMatrix(q, grid)
-    if header[0] == "C":
-        if len(header) != 2:
-            raise ValueError("C header must be 'C <n>'")
-        n = int(header[1])
-        if len(lines) != n + 1:
-            raise ValueError(f"expected {n} matrix rows, got {len(lines) - 1}")
-        rows = []
-        for ln in lines[1:]:
-            toks = ln.split()
-            if len(toks) != n:
-                raise ValueError(f"expected {n} entries per row")
-            row = []
-            for tok in toks:
-                re_s, _, im_s = tok.partition(",")
-                if not im_s:
-                    raise ValueError(f"complex token must be 're,im', got {tok!r}")
-                row.append(complex(float(re_s), float(im_s)))
-            rows.append(row)
-        import numpy as np
+    kind = header[0]
+    if kind not in _HEADERS:
+        raise ValueError(f"unknown matrix header {kind!r}")
+    if len(header) != len(_HEADERS[kind].split()):
+        raise ValueError(f"{kind} header must be '{_HEADERS[kind]}'")
+    sizes = [int(tok) for tok in header[1:]]
+    n = sizes[-1]
+    if len(lines) != n + 1:
+        raise ValueError(f"expected {n} matrix rows, got {len(lines) - 1}")
+    grid = []
+    for ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) != n:
+            raise ValueError(f"expected {n} entries per row")
+        grid.append([int(tok) if kind == "BH" else _complex_entry(tok) for tok in toks])
+    if kind == "BH":
+        return ButsonMatrix(sizes[0], grid)
+    import numpy as np
 
-        return np.array(rows, dtype=np.complex128)
-    raise ValueError(f"unknown matrix header {header[0]!r}")
+    return np.array(grid, dtype=np.complex128)

@@ -113,6 +113,57 @@ def test_diagonal_normalized_rejects_impossible():
         diagonal_normalized(ButsonMatrix(3, [[1, 1], [1, 1]]))
 
 
+def backtracking_diagonal_normalized(b):
+    """Reference: the column-by-column backtracking diagonal_normalized replaced.
+
+    Column j takes the smallest unused row with exponent 0 there, backing up
+    when a later column has none left; the first complete assignment is the
+    lexicographically least unit-diagonal row permutation.
+    """
+    n = b.n
+    candidates = [[i for i in range(n) if b.entry(i, j) == 0] for j in range(n)]
+
+    def assign(j, used, acc):
+        if j == n:
+            return list(acc)
+        for i in candidates[j]:
+            if i not in used:
+                used.add(i)
+                acc.append(i)
+                found = assign(j + 1, used, acc)
+                if found is not None:
+                    return found
+                acc.pop()
+                used.remove(i)
+        return None
+
+    perm = assign(0, set(), [])
+    if perm is None:
+        raise ValueError("no row permutation puts unit entries on the diagonal")
+    return b.permuted(perm, range(n))
+
+
+def test_diagonal_normalized_matches_backtracking_reference():
+    # Exponent 0 with probability 0.55, so most grids have a unit-diagonal
+    # row permutation and some have none.
+    local = random.Random(20261018)
+    found = refused = 0
+    for t in range(240):
+        n = t % 6 + 1
+        b = ButsonMatrix(3, [[0 if local.random() < 0.55 else local.randrange(1, 3)
+                              for _ in range(n)] for _ in range(n)])
+        try:
+            expected = backtracking_diagonal_normalized(b)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError):
+                diagonal_normalized(b)
+        else:
+            found += 1
+            assert diagonal_normalized(b) == expected
+    assert found > refused > 0
+
+
 def test_agaian_symmetric_special_values():
     assert np.array_equal(agaian_symmetric(1.0), np.ones((6, 6)))
     m0 = agaian_symmetric(0.0)

@@ -24,6 +24,17 @@ def test_euler_phi():
     assert [euler_phi(q) for q in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
 
 
+def test_euler_phi_matches_gcd_count():
+    for q in range(1, 501):
+        assert euler_phi(q) == sum(1 for k in range(1, q + 1) if math.gcd(k, q) == 1), q
+    # Trial division stops once the factors found leave 1, so large smooth
+    # orders return at once; a count over all q residues would never finish.
+    assert euler_phi(2 ** 61) == 2 ** 60
+    assert euler_phi(6 ** 20) == 6 ** 20 // 3
+    with pytest.raises(ValueError):
+        euler_phi(0)
+
+
 def test_coeff_length_matches_phi():
     for q in (1, 2, 3, 4, 6, 12):
         assert len(CycInt.zeta(q).coeffs) == euler_phi(q)

@@ -39,6 +39,15 @@ def scaled(name):
     return charpoly_exact(catalog.get(name))
 
 
+def fourier(n):
+    return ButsonMatrix(n, [[i * j % n for j in range(n)] for i in range(n)])
+
+
+def sylvester(k):
+    n = 1 << k
+    return ButsonMatrix(2, [[bin(i & j).count("1") % 2 for j in range(n)] for i in range(n)])
+
+
 def random_standard_transform(b):
     rp, cp = list(range(b.n)), list(range(b.n))
     rng.shuffle(rp)
@@ -277,6 +286,22 @@ def test_spectrum_distance_requires_equal_size():
         spectrum_distance(spec, [(1 + 0j, 1)])
 
 
+@pytest.mark.xfail(
+    strict=True, raises=(AssertionError, ConvergenceError),
+    reason="roots are grouped within _CLUSTER_RADIUS = 1e-4, but an m-fold root "
+           "stalls about eps^(1/m) away, more than that from m = 4 on")
+@pytest.mark.parametrize("b, mults", [
+    (sylvester(3), [4, 4]),
+    (fourier(16), [3, 4, 4, 5]),
+], ids=["H8", "F16"])
+def test_spectrum_multiplicities_of_fourfold_roots(b, mults):
+    # numpy.linalg.eigvals gives these multiplicities. Once multiplicities
+    # come from an exact square-free decomposition this passes, and the
+    # xfail marker must go.
+    spec = spectrum_numeric(charpoly_exact(b))
+    assert sorted(m for _, m in spec.pairs) == mults
+
+
 # --- Haagerup fingerprint ----------------------------------------------------
 
 def test_haagerup_matches_quadruple_loop_on_random_grids(haagerup_reference):
@@ -353,10 +378,6 @@ def test_defect_rank_gap_is_clean():
         s = np.linalg.svd(deformation_system(catalog.get(name)), compute_uv=False)
         ratios = s / s[0]
         assert all(r < 1e-8 or r > 1e-4 for r in ratios), name
-
-
-def fourier(n):
-    return ButsonMatrix(n, [[i * j % n for j in range(n)] for i in range(n)])
 
 
 def fourier_defect(n):

@@ -173,6 +173,10 @@ def test_complex_text_round_trip():
     "BH 3 2\n0 0 0\n0 0 0",
     "C 1\n1.0",
     "C 1\nnope,1.0",
+    "C 2\n1,0 1,0",
+    "C 2\n1,0\n1,0 1,0",
+    "C 1 2\n1,0",
+    "BH 3 2 1\n0 0\n0 0",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
