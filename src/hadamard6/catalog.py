@@ -20,11 +20,10 @@ orthogonality, and A40's differs from the template output in a single cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import TYPE_CHECKING
 
-from .matrices import ButsonMatrix, dephase
+from .matrices import ButsonMatrix, Record, dephase
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,8 +100,8 @@ DISPUTED_READINGS: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
+    __slots__ = ("name", "matrix", "note")
     name: str
     matrix: ButsonMatrix
     note: str

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import catalog
@@ -33,6 +32,7 @@ from .invariants import (
 )
 from .matrices import (
     ButsonMatrix,
+    Record,
     dephase,
     format_matrix,
     is_hadamard_exact,
@@ -48,8 +48,8 @@ REFUTED = "REFUTED"
 DISCREPANCY = "DISCREPANCY-DOCUMENTED"
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(Record):
+    __slots__ = ("id", "claim", "computed", "status")
     id: str
     claim: str
     computed: str

@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice, permutations
 
 from .invariants import charpoly_exact, haagerup_set, poly_eq
-from .matrices import ButsonMatrix, PhaseVector, dephase
+from .matrices import ButsonMatrix, PhaseVector, Record, dephase
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """(row permutation, column permutation, left phases, right phases)."""
 
+    __slots__ = ("row_perm", "col_perm", "left", "right")
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
     left: PhaseVector
@@ -46,8 +45,8 @@ class Witness:
             raise ValueError("witness phase vectors must have length n")
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(Record):
+    __slots__ = ("equivalent", "witness", "search_stats")
     equivalent: bool
     witness: Witness | None
     search_stats: int  # row permutations examined

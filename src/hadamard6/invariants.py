@@ -24,12 +24,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, count, permutations
 from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, _prime_factors, euler_phi
-from .matrices import ButsonMatrix, dephase, is_hadamard_exact
+from .matrices import ButsonMatrix, Record, dephase, is_hadamard_exact
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,14 +38,14 @@ class ConvergenceError(RuntimeError):
     """Root iteration failed to reach the requested residual."""
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """Monic det(xI - H) of an n x n matrix, coefficients e_k in Z[zeta_q].
 
     e runs from degree 0 upward. Read as det(xI - H/sqrt(n)), the x^k
     coefficient is e_k * n^(-(n-k)/2), which complex_coeffs() evaluates.
     """
 
+    __slots__ = ("n", "q", "e")
     n: int
     q: int
     e: tuple[CycInt, ...]
@@ -62,10 +61,10 @@ class CharPoly:
         return [ek.embed() * n ** (-(n - k) / 2.0) for k, ek in enumerate(self.e)]
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Eigenvalues with multiplicities; multiplicities sum to the dimension."""
 
+    __slots__ = ("pairs",)
     pairs: tuple[tuple[complex, int], ...]
 
     @property
@@ -395,8 +394,7 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(Record):
     """Exact rank of the gauge-fixed deformation system, and what it rests on.
 
     rank is the rank over Q(zeta_q) of a system with `columns` unknowns, so
@@ -405,6 +403,7 @@ class RankCertificate:
     2^bound_bits, the Hadamard bound on the norm of every (rank+1)-minor.
     """
 
+    __slots__ = ("rank", "columns", "primes", "bound_bits")
     rank: int
     columns: int
     primes: int

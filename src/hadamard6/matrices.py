@@ -15,7 +15,7 @@ loaded only for C grids (parsing and `verify`), `to_complex`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import index
 from typing import TYPE_CHECKING
 
 from .cyclo import CycInt
@@ -30,17 +30,70 @@ if TYPE_CHECKING:
 MAX_ORDER = 1 << 62
 
 
-@dataclass(frozen=True)
-class PhaseVector:
+class Record:
+    """Immutable value with named fields, the base of the library's result types.
+
+    A direct subclass lists its fields in __slots__. The constructor takes
+    every field, positionally or by keyword, then calls __post_init__, which
+    checks the values and may normalize them with object.__setattr__.
+    Afterwards a field can be neither set nor deleted. Records are equal when
+    they have the same type and equal fields, and hash accordingly.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}, "
+                            "each exactly once")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Rebuild through the constructor: pickle and copy would otherwise
+        # restore the slots with the __setattr__ that refuses them.
+        return type(self), self._values()
+
+
+class PhaseVector(Record):
     """Diagonal of q-th-root phases, stored as exponents mod q."""
 
+    __slots__ = ("q", "exps")
     q: int
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError("root order must be positive")
-        object.__setattr__(self, "exps", tuple(e % self.q for e in self.exps))
+        object.__setattr__(self, "exps", tuple(index(e) % self.q for e in self.exps))
 
     def __len__(self) -> int:
         return len(self.exps)
@@ -56,7 +109,7 @@ class ButsonMatrix:
             raise ValueError("root order must be positive")
         if q > MAX_ORDER:
             raise ValueError(f"root order {q} exceeds the supported maximum 2**62")
-        rows = tuple(tuple(int(e) % q for e in row) for row in exponents)
+        rows = tuple(tuple(index(e) % q for e in row) for row in exponents)
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise ValueError("exponent grid must be square and nonempty")

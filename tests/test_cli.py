@@ -179,29 +179,34 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     bh.write_text(format_matrix(catalog.get("M61")))
     cx = tmp_path / "c.txt"
     cx.write_text(format_matrix(catalog.get("M6").to_complex()))
+    # numpy is the heaviest import; dataclasses pulls in inspect, ast and dis
+    # and compiles code for every class it decorates.
     script = textwrap.dedent("""
         import sys
+        def check(what):
+            loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+            assert not loaded, f"{what} loaded {loaded}"
         import hadamard6
-        assert "numpy" not in sys.modules, "import hadamard6 loaded numpy"
+        check("import hadamard6")
         from hadamard6 import cli
         for argv in (["catalog", "list"], ["verify", "A1"], ["charpoly", "A10"],
                      ["spectrum", "M61"], ["dephase", "A10"],
                      ["equiv", "unitary", "A01", "A02"], ["verify", sys.argv[1]],
                      ["defect", "A1"], ["defect", "F6"], ["report", "--json"]):
             cli.main(argv)
-            assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+            check(argv)
         for argv, code in ((["equiv", "standard", "M6", "M61"], 0),
                            (["equiv", "standard", "A1", sys.argv[1]], 1)):
             assert cli.main(argv) == code, argv
-            assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+            check(argv)
         from hadamard6 import classify, get, haagerup_set, standard_equivalent
         m6, m61 = get("M6"), get("M61")
         assert standard_equivalent(m6, m61, prescreen=False).equivalent
-        assert "numpy" not in sys.modules, "standard_equivalent loaded numpy"
+        check("standard_equivalent")
         assert classify([m6, m61, get("F6")], "standard") == [[0, 1], [2]]
-        assert "numpy" not in sys.modules, "classify loaded numpy"
+        check("classify")
         assert haagerup_set(m6) == haagerup_set(m61)
-        assert "numpy" not in sys.modules, "haagerup_set loaded numpy"
+        check("haagerup_set")
         print("complex-exit", cli.main(["verify", sys.argv[2]]))
     """)
     src = os.path.dirname(os.path.dirname(hadamard6.__file__))
@@ -257,3 +262,10 @@ def test_report_is_deterministic(capsys):
     _, md2 = run(capsys, "report")
     assert md1 == md2
     assert "| C1 |" in md1
+
+
+@pytest.mark.parametrize("status", [cli.REFUTED, cli.DISCREPANCY])
+def test_claim_record_refuses_missing_counter_value(status):
+    with pytest.raises(ValueError, match="counter-value"):
+        cli.ClaimRecord("C1", "A1 is Hadamard", "", status)
+    assert cli.ClaimRecord("C1", "A1 is Hadamard", "", cli.CONFIRMED).computed == ""

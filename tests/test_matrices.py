@@ -1,9 +1,21 @@
+import copy
+import pickle
 import random
 
 import numpy as np
 import pytest
 
-from hadamard6 import catalog
+from hadamard6 import (
+    CatalogEntry,
+    CharPoly,
+    CycInt,
+    EquivVerdict,
+    RankCertificate,
+    Spectrum,
+    Witness,
+    catalog,
+)
+from hadamard6.cli import CONFIRMED, REFUTED, ClaimRecord
 from hadamard6.matrices import (
     MAX_ORDER,
     ButsonMatrix,
@@ -28,6 +40,66 @@ def random_butson(q, n):
 def test_constructor_reduces_mod_q():
     b = ButsonMatrix(3, [[4, -1], [3, 7]])
     assert b.exponents == ((1, 2), (0, 1))
+
+
+def test_exponents_must_be_integers():
+    # A float exponent is refused, not truncated; numpy integers still work.
+    with pytest.raises(TypeError):
+        ButsonMatrix(3, [[0.0, 1.9], [2.5, 0]])
+    with pytest.raises(TypeError):
+        PhaseVector(3, (1.5, 4))
+    b = ButsonMatrix(3, np.array([[4, -1], [3, 7]], dtype=np.int64))
+    assert b.exponents == ((1, 2), (0, 1))
+    assert all(type(e) is int for row in b.exponents for e in row)
+    assert PhaseVector(3, tuple(np.arange(2, 5, dtype=np.int64))).exps == (2, 0, 1)
+
+
+_WITNESS_FIELDS = {"row_perm": (1, 0), "col_perm": (0, 1), "left": PhaseVector(2, (0, 1)),
+                   "right": PhaseVector(2, (0, 0))}
+
+# (record type, valid fields in declaration order, (field, another valid value))
+RECORD_CASES = [
+    (PhaseVector, {"q": 3, "exps": (0, 1, 2)}, ("exps", (0, 1, 1))),
+    (CatalogEntry, {"name": "F2", "matrix": ButsonMatrix(2, [[0, 0], [0, 1]]), "note": "Fourier"},
+     ("note", "")),
+    (ClaimRecord, {"id": "C1", "claim": "A1 is Hadamard", "computed": "true",
+                   "status": CONFIRMED}, ("status", REFUTED)),
+    (Witness, _WITNESS_FIELDS, ("col_perm", (1, 0))),
+    (EquivVerdict, {"equivalent": True, "witness": Witness(**_WITNESS_FIELDS), "search_stats": 2},
+     ("search_stats", 3)),
+    (CharPoly, {"n": 1, "q": 3, "e": (CycInt.from_int(3, -1), CycInt.from_int(3, 1))},
+     ("e", (CycInt.from_int(3, 0), CycInt.from_int(3, 1)))),
+    (Spectrum, {"pairs": ((1 + 0j, 1), (-1 + 0j, 1))}, ("pairs", ((1 + 0j, 2),))),
+    (RankCertificate, {"rank": 9, "columns": 9, "primes": 1, "bound_bits": 0}, ("primes", 2)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed", RECORD_CASES,
+                         ids=[case[0].__name__ for case in RECORD_CASES])
+def test_record_semantics(cls, fields, changed):
+    assert cls.__slots__ == tuple(cls.__annotations__)
+    r = cls(**fields)
+    same = cls(*fields.values())
+    assert r == same and hash(r) == hash(same)
+    assert r != cls(**{**fields, changed[0]: changed[1]})
+    assert r != tuple(fields.values())
+    assert repr(r) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert r == same
+    first = next(iter(fields))
+    with pytest.raises(TypeError):
+        cls(*list(fields.values())[:-1])
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{first: fields[first]})
+    with pytest.raises(TypeError):
+        cls(**fields, extra=1)
+    assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
 
 
 def test_constructor_rejects_non_square():
