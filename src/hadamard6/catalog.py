@@ -9,8 +9,9 @@ Most of the A-family is derived rather than transcribed. A10 ... A60
 substitute 1, w, w^2 for x, y, z in the three-parameter TEMPLATE under the
 assignments in VARIANT_ASSIGNMENTS; A01, A02 and A03 are the standard
 (dephased) forms of A10, A20 and A30; A2 and A3 are the unit-diagonal row
-permutations of A02 and A03 (diagonal_normalized). Only A1, M6 and M61 are
-literal grids; F6 is built from its formula.
+permutations of A02 and A03 (diagonal_normalized). A1 is the circulant of
+the quadratic character mod 5, bordered by 1s. Only M6 and M61 are literal
+grids; F6 is built from its formula.
 
 Two published grids fail exact verification as transcribed and are kept in
 DISPUTED_READINGS for audit reporting: A2's reading breaks symmetry and row
@@ -48,15 +49,6 @@ VARIANT_ASSIGNMENTS: dict[str, tuple[int, int, int]] = {
     "A50": (2, 0, 1),
     "A60": (0, 2, 1),
 }
-
-_GRID_A1 = (
-    (0, 0, 0, 0, 0, 0),
-    (0, 0, 1, 2, 2, 1),
-    (0, 1, 0, 1, 2, 2),
-    (0, 2, 1, 0, 1, 2),
-    (0, 2, 2, 1, 0, 1),
-    (0, 1, 2, 2, 1, 0),
-)
 
 _GRID_M6 = (
     (0, 0, 0, 0, 0, 0),
@@ -152,9 +144,12 @@ def agaian_symmetric(a: float) -> np.ndarray:
 def _build_catalog() -> dict[str, CatalogEntry]:
     variants = {name: agaian_variant(*exps) for name, exps in VARIANT_ASSIGNMENTS.items()}
     a01, a02, a03 = (dephase(variants[name])[0] for name in ("A10", "A20", "A30"))
+    # Core entry (i, j) is w where j - i is a nonzero square mod 5, w^2 where
+    # it is a non-square, and 1 on the diagonal.
+    a1 = ButsonMatrix(3, [[0] * 6] + [[0] + [min((j - i) % 5, (i - j) % 5) for j in range(5)]
+                                      for i in range(5)])
     rows = [
-        ("A1", ButsonMatrix(3, _GRID_A1),
-         "symmetric unit-diagonal form; the isolation candidate"),
+        ("A1", a1, "symmetric unit-diagonal form; the isolation candidate"),
         ("A2", diagonal_normalized(a02),
          "diagonal-normalized row permutation of A02 (symmetric; the transcribed "
          "grid in DISPUTED_READINGS is not orthogonal)"),

@@ -41,32 +41,34 @@ def euler_phi(q: int) -> int:
     return phi
 
 
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    # Long division of integer polynomials; den is monic and must divide num.
-    num = list(num)
-    dn = len(den) - 1
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dn] = c
-            for j, d in enumerate(den):
-                num[i - dn + j] -= c * d
-    if any(num[:dn]):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(q: int) -> tuple[int, ...]:
-    """Coefficients (degree 0 upward) of the q-th cyclotomic polynomial."""
+    """Coefficients (degree 0 upward) of the q-th cyclotomic polynomial.
+
+    With r the product of the distinct primes of q, Phi_q(x) = Phi_r(x^(q/r)),
+    and for r > 1 Phi_r is the product of (1 - x^(r/s))^mu(s) over the
+    divisors s of r. Each factor is one pass over the power series of Phi_r
+    truncated above its degree phi(r), where factors of higher degree are 1;
+    for r = 1 the single factor is x - 1 = -(1 - x).
+    """
     if q < 1:
         raise ValueError("root order must be positive")
-    poly = [-1] + [0] * (q - 1) + [1]  # x^q - 1
-    for d in range(1, q):
-        if q % d == 0:
-            poly = _exact_div(poly, list(cyclotomic_coeffs(d)))
-    return tuple(poly)
+    primes = _prime_factors(q)
+    r = math.prod(primes)
+    deg = euler_phi(r)
+    c = [1 if primes else -1] + [0] * deg
+    for subset in range(1 << len(primes)):
+        d = r // math.prod(p for i, p in enumerate(primes) if subset >> i & 1)
+        if d > deg:
+            continue
+        if subset.bit_count() % 2:  # divide by 1 - x^d: a running sum
+            for i in range(d, deg + 1):
+                c[i] += c[i - d]
+        else:  # multiply by 1 - x^d
+            c[d:] = [a - b for a, b in zip(c[d:], c)]
+    spread = [0] * (deg * (q // r) + 1)
+    spread[::q // r] = c
+    return tuple(spread)
 
 
 def _reduce(q: int, coeffs) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ MAX_ORDER = 1 << 62
 
 
 class Record:
-    """Immutable value with named fields, the base of the library's result types.
+    """Immutable value with named fields, the base of the library's value types.
 
     A direct subclass lists its fields in __slots__. The constructor takes
     every field, positionally or by keyword, then calls __post_init__, which
@@ -99,62 +99,56 @@ class PhaseVector(Record):
         return len(self.exps)
 
 
-class ButsonMatrix:
+class ButsonMatrix(Record):
     """Square grid of exponents in [0, q), one entry per q-th root of unity."""
 
-    __slots__ = ("_q", "_exponents")
+    __slots__ = ("q", "exponents")
+    q: int
+    exponents: tuple[tuple[int, ...], ...]
 
-    def __init__(self, q: int, exponents) -> None:
+    def __post_init__(self) -> None:
+        q = self.q
         if q < 1:
             raise ValueError("root order must be positive")
         if q > MAX_ORDER:
             raise ValueError(f"root order {q} exceeds the supported maximum 2**62")
-        rows = tuple(tuple(index(e) % q for e in row) for row in exponents)
+        rows = tuple(tuple(index(e) % q for e in row) for row in self.exponents)
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise ValueError("exponent grid must be square and nonempty")
-        self._q = q
-        self._exponents = rows
-
-    @property
-    def q(self) -> int:
-        return self._q
+        object.__setattr__(self, "exponents", rows)
 
     @property
     def n(self) -> int:
-        return len(self._exponents)
-
-    @property
-    def exponents(self) -> tuple[tuple[int, ...], ...]:
-        return self._exponents
+        return len(self.exponents)
 
     def entry(self, i: int, j: int) -> int:
-        return self._exponents[i][j]
+        return self.exponents[i][j]
 
     def value(self, i: int, j: int) -> CycInt:
-        return CycInt.zeta(self._q, self._exponents[i][j])
+        return CycInt.zeta(self.q, self.exponents[i][j])
 
     def to_complex(self) -> np.ndarray:
         import numpy as np
 
         roots = [
-            complex(math.cos(2.0 * math.pi * m / self._q),
-                    math.sin(2.0 * math.pi * m / self._q))
-            for m in range(self._q)
+            complex(math.cos(2.0 * math.pi * m / self.q),
+                    math.sin(2.0 * math.pi * m / self.q))
+            for m in range(self.q)
         ]
-        return np.array([[roots[e] for e in row] for row in self._exponents],
+        return np.array([[roots[e] for e in row] for row in self.exponents],
                         dtype=np.complex128)
 
     def to_order(self, q2: int) -> ButsonMatrix:
         """Rewrite the grid over a multiple q2 of q without changing the matrix."""
-        if q2 % self._q:
-            raise ValueError(f"{self._q} does not divide {q2}")
-        m = q2 // self._q
-        return ButsonMatrix(q2, [[e * m for e in row] for row in self._exponents])
+        if q2 % self.q:
+            raise ValueError(f"{self.q} does not divide {q2}")
+        m = q2 // self.q
+        return ButsonMatrix(q2, [[e * m for e in row] for row in self.exponents])
 
     def conjugated(self) -> ButsonMatrix:
         """Entrywise complex conjugate (exponents negated mod q)."""
-        return ButsonMatrix(self._q, [[-e for e in row] for row in self._exponents])
+        return ButsonMatrix(self.q, [[-e for e in row] for row in self.exponents])
 
     def permuted(self, row_perm, col_perm) -> ButsonMatrix:
         """Grid with new (i, j) entry taken from (row_perm[i], col_perm[j])."""
@@ -163,19 +157,8 @@ class ButsonMatrix:
         if sorted(rp) != list(range(n)) or sorted(cp) != list(range(n)):
             raise ValueError("permutations must be bijections on row/column indices")
         return ButsonMatrix(
-            self._q, [[self._exponents[rp[i]][cp[j]] for j in range(n)] for i in range(n)]
+            self.q, [[self.exponents[rp[i]][cp[j]] for j in range(n)] for i in range(n)]
         )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ButsonMatrix):
-            return self._q == other._q and self._exponents == other._exponents
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._q, self._exponents))
-
-    def __repr__(self) -> str:
-        return f"ButsonMatrix(q={self._q}, n={self.n})"
 
 
 def is_hadamard_exact(b: ButsonMatrix) -> bool:

@@ -94,6 +94,19 @@ def test_root_order_too_large_exits_2(capsys, tmp_path):
     assert run(capsys, "equiv", "standard", str(path), str(path)) == (2, "")
 
 
+@pytest.mark.parametrize("command, out", [("verify", "hadamard: true (exact)\n"),
+                                          ("defect", "defect: 0\n")])
+def test_million_root_order_answers(command, out):
+    # Phi_q for q = 10**6 has degree 400,000; building it must not dominate.
+    # A fresh interpreter, so the cached polynomial of another test is not reused.
+    src = os.path.dirname(os.path.dirname(hadamard6.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "hadamard6.cli", command, "-"],
+                          input="BH 1000000 2\n0 0\n0 500000\n", env=env,
+                          capture_output=True, text=True, check=False, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 def test_charpoly_json_matches_library(capsys):
     code, out = run(capsys, "charpoly", "A10", "--json")
     assert code == 0

@@ -20,6 +20,43 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
 
 
+def _divisor_recursion(q):
+    # The former construction, kept as a reference: x^q - 1 divided by Phi_d
+    # for every proper divisor d, by long division of integer polynomials.
+    poly = [-1] + [0] * (q - 1) + [1]
+    for d in range(1, q):
+        if q % d == 0:
+            den = list(cyclotomic_coeffs(d))
+            dn = len(den) - 1
+            quot = [0] * (len(poly) - dn)
+            for i in range(len(poly) - 1, dn - 1, -1):
+                c = poly[i]
+                if c:
+                    quot[i - dn] = c
+                    for j, v in enumerate(den):
+                        poly[i - dn + j] -= c * v
+            assert not any(poly[:dn])
+            poly = quot
+    return tuple(poly)
+
+
+def test_cyclotomic_matches_divisor_recursion():
+    for q in range(1, 401):
+        assert cyclotomic_coeffs(q) == _divisor_recursion(q), q
+    with pytest.raises(ValueError):
+        cyclotomic_coeffs(0)
+
+
+@pytest.mark.parametrize("q", [2310, 5040, 10**6])
+def test_cyclotomic_matches_sympy(q):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    ref = sympy.Poly(sympy.cyclotomic_poly(q, x), x)
+    coeffs = cyclotomic_coeffs(q)
+    assert len(coeffs) == euler_phi(q) + 1 == ref.degree() + 1
+    assert {i: c for i, c in enumerate(coeffs) if c} == {k: int(c) for (k,), c in ref.terms()}
+
+
 def test_euler_phi():
     assert [euler_phi(q) for q in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
 

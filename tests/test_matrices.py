@@ -60,6 +60,7 @@ _WITNESS_FIELDS = {"row_perm": (1, 0), "col_perm": (0, 1), "left": PhaseVector(2
 # (record type, valid fields in declaration order, (field, another valid value))
 RECORD_CASES = [
     (PhaseVector, {"q": 3, "exps": (0, 1, 2)}, ("exps", (0, 1, 1))),
+    (ButsonMatrix, {"q": 3, "exponents": ((0, 0), (0, 1))}, ("exponents", ((0, 0), (0, 2)))),
     (CatalogEntry, {"name": "F2", "matrix": ButsonMatrix(2, [[0, 0], [0, 1]]), "note": "Fourier"},
      ("note", "")),
     (ClaimRecord, {"id": "C1", "claim": "A1 is Hadamard", "computed": "true",
