@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import catalog
 from .equivalence import apply_witness, classify, standard_equivalent, unitary_equivalent
@@ -40,9 +39,6 @@ from .matrices import (
     parse_matrix,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
 DISCREPANCY = "DISCREPANCY-DOCUMENTED"
@@ -65,7 +61,7 @@ def _f(x: float) -> str:
     return f"{float(x):.15g}"
 
 
-def _resolve(source: str) -> ButsonMatrix | np.ndarray:
+def _resolve(source: str) -> ButsonMatrix | tuple[tuple[complex, ...], ...]:
     if source == "-":
         return parse_matrix(sys.stdin.read())
     if source.startswith("catalog:"):

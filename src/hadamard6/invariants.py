@@ -455,13 +455,13 @@ def _certify(n: int, q: int, system: list, ideals) -> RankCertificate:
                     row[(j - 1) * (n - 1) + k] = p - image[x]
             rows.append(row)
         r = _rank_mod(rows, p)
+        if r == columns:
+            return RankCertificate(r, columns, 1, 0)
         if r > rank:
             rank, primes, norms = r, 0, 1
             bound = (2 * (n - 1)) ** ((r + 1) * phi)  # the square of the norm bound
         if r == rank:
             primes, norms = primes + 1, norms * p
-        if rank == columns:
-            return RankCertificate(rank, columns, primes, 0)
         if norms * norms > bound:
             return RankCertificate(rank, columns, primes, ((bound - 1).bit_length() + 1) // 2)
     raise ArithmeticError(f"rank {rank} of {columns} is not certified by the given ideals")

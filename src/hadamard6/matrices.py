@@ -1,14 +1,14 @@
 """Butson exponent grids, Hadamard verification, and dephasing.
 
 A Butson matrix of order q is stored as an n x n grid of root-of-unity
-exponents reduced mod q. General complex matrices are plain numpy arrays of
-complex128; the only places they appear are the numeric verification path and
-the real symmetric family.
+exponents reduced mod q. A general complex matrix (a `C` grid) is parsed into
+a tuple of row tuples of Python complex; the numeric check and the text
+format also take any square nested sequence, numpy arrays included.
 
 numpy is imported inside the functions that build arrays, never at module
-level, so the exact paths run without it: every subcommand on BH grids and
-catalog names, `defect` and `report` included, runs without numpy. It is
-loaded only for C grids (parsing and `verify`), `to_complex`,
+level, and no subcommand calls one of them: every subcommand, on `BH` and `C`
+grids and catalog names alike, runs without numpy. It is loaded only by the
+three functions that return arrays: `ButsonMatrix.to_complex`,
 `invariants.deformation_system` and `catalog.agaian_symmetric`.
 """
 
@@ -174,20 +174,43 @@ def is_hadamard_exact(b: ButsonMatrix) -> bool:
     return True
 
 
-def is_hadamard_numeric(m: np.ndarray, tol: float) -> bool:
-    """Float check: unimodular entries and M M* = n I within tol."""
+def _complex_rows(m) -> list[list[complex]]:
+    """Rows of a square nested sequence, each entry converted with complex()."""
+    try:
+        rows = [[complex(v) for v in row] for row in m]
+    except TypeError:
+        raise ValueError("matrix must be square") from None
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return rows
+
+
+def is_hadamard_numeric(m, tol: float) -> bool:
+    """Float check: unimodular entries and M M* = n I within tol.
+
+    m is any square nested sequence of numbers, a 2-D ndarray included; each
+    entry is converted with complex(). Each Gram entry is summed with
+    math.fsum over its float products, so every sum is correctly rounded.
+    Every deviation must be <= tol, which a NaN never is, so a NaN or
+    infinite entry gives False.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be a positive finite number")
-    import numpy as np
-
-    m = np.asarray(m, dtype=np.complex128)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(np.abs(m) - 1.0)) > tol:
+    rows = _complex_rows(m)
+    n = len(rows)
+    if not all(abs(abs(v) - 1.0) <= tol for row in rows for v in row):
         return False
-    gram = m @ m.conj().T
-    return bool(np.max(np.abs(gram - n * np.eye(n))) <= tol)
+    # M M* is Hermitian and fsum of negated terms is the negated sum, so the
+    # upper triangle decides.
+    for i, a in enumerate(rows):
+        for j in range(i, n):
+            pairs = list(zip(a, rows[j]))
+            re = math.fsum(p for x, y in pairs for p in (x.real * y.real, x.imag * y.imag))
+            im = math.fsum(p for x, y in pairs for p in (x.imag * y.real, -x.real * y.imag))
+            if not abs(complex(re - (n if i == j else 0), im)) <= tol:
+                return False
+    return True
 
 
 def dephase(b: ButsonMatrix) -> tuple[ButsonMatrix, PhaseVector, PhaseVector]:
@@ -219,21 +242,21 @@ def rephase(b: ButsonMatrix, left: PhaseVector, right: PhaseVector) -> ButsonMat
     )
 
 
-def format_matrix(m: ButsonMatrix | np.ndarray) -> str:
-    """Render in the text interchange format (`BH q n` or `C n` header)."""
+def format_matrix(m) -> str:
+    """Render in the text interchange format (`BH q n` or `C n` header).
+
+    A ButsonMatrix gives a `BH` grid. Anything else is a square nested
+    sequence, a 2-D ndarray included, whose entries are converted with
+    complex() and written as repr(real),repr(imag), so parse_matrix gives
+    back every entry float for float.
+    """
     if isinstance(m, ButsonMatrix):
         lines = [f"BH {m.q} {m.n}"]
         lines += [" ".join(str(e) for e in row) for row in m.exponents]
         return "\n".join(lines) + "\n"
-    import numpy as np
-
-    arr = np.asarray(m, dtype=np.complex128)
-    n = arr.shape[0]
-    if arr.shape != (n, n):
-        raise ValueError("matrix must be square")
-    lines = [f"C {n}"]
-    for row in arr:
-        lines.append(" ".join(f"{repr(float(v.real))},{repr(float(v.imag))}" for v in row))
+    rows = _complex_rows(m)
+    lines = [f"C {len(rows)}"]
+    lines += [" ".join(f"{v.real!r},{v.imag!r}" for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -248,8 +271,12 @@ def _complex_entry(tok: str) -> complex:
     return complex(float(re_s), float(im_s))
 
 
-def parse_matrix(text: str) -> ButsonMatrix | np.ndarray:
-    """Parse the text interchange format; raises ValueError on malformed input."""
+def parse_matrix(text: str) -> ButsonMatrix | tuple[tuple[complex, ...], ...]:
+    """Parse the text interchange format; raises ValueError on malformed input.
+
+    A `BH q n` grid gives a ButsonMatrix and a `C n` grid a tuple of n row
+    tuples of complex. Both formats need n >= 1.
+    """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix input")
@@ -261,6 +288,8 @@ def parse_matrix(text: str) -> ButsonMatrix | np.ndarray:
         raise ValueError(f"{kind} header must be '{_HEADERS[kind]}'")
     sizes = [int(tok) for tok in header[1:]]
     n = sizes[-1]
+    if n < 1:
+        raise ValueError(f"matrix dimension must be positive, got {n}")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, got {len(lines) - 1}")
     grid = []
@@ -268,9 +297,5 @@ def parse_matrix(text: str) -> ButsonMatrix | np.ndarray:
         toks = ln.split()
         if len(toks) != n:
             raise ValueError(f"expected {n} entries per row")
-        grid.append([int(tok) if kind == "BH" else _complex_entry(tok) for tok in toks])
-    if kind == "BH":
-        return ButsonMatrix(sizes[0], grid)
-    import numpy as np
-
-    return np.array(grid, dtype=np.complex128)
+        grid.append(tuple(int(tok) if kind == "BH" else _complex_entry(tok) for tok in toks))
+    return ButsonMatrix(sizes[0], grid) if kind == "BH" else tuple(grid)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import subprocess
@@ -66,6 +67,21 @@ def test_verify_complex_file(capsys, tmp_path):
     code, out = run(capsys, "verify", str(path))
     assert code == 0
     assert "numeric" in out
+
+
+@pytest.mark.parametrize("text, code, out", [
+    ("C 0\n", 2, ""),
+    ("C 2\n1,0 1,0\n1,0\n", 2, ""),
+    ("C 2\n1,0 1,0\n1,0 -1,0\n", 0, "hadamard: true (numeric)\n"),
+    ("C 2\nnan,0 1,0\n1,0 -1,0\n", 1, "hadamard: false (numeric)\n"),
+    ("C 2\n1,0 1,0\n1,0 nan,0\n", 1, "hadamard: false (numeric)\n"),
+    ("C 2\n1,0 1,inf\n1,0 -1,0\n", 1, "hadamard: false (numeric)\n"),
+    ("C 2\n1,0 1,0\n1,0 -inf,0\n", 1, "hadamard: false (numeric)\n"),
+], ids=["empty", "ragged", "hadamard", "nan-first", "nan-last", "inf", "-inf"])
+def test_verify_complex_edge_cases(capsys, tmp_path, text, code, out):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert run(capsys, "verify", str(path)) == (code, out)
 
 
 def test_file_takes_precedence_over_catalog_name(capsys, tmp_path, monkeypatch):
@@ -190,8 +206,12 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     # A fresh interpreter: pytest itself has numpy loaded already.
     bh = tmp_path / "bh.txt"
     bh.write_text(format_matrix(catalog.get("M61")))
+    m6 = catalog.get("M6").to_complex()
     cx = tmp_path / "c.txt"
-    cx.write_text(format_matrix(catalog.get("M6").to_complex()))
+    cx.write_text(format_matrix(m6))
+    m6[2, 3] *= cmath.exp(0.1j)
+    cx_off = tmp_path / "c_off.txt"
+    cx_off.write_text(format_matrix(m6))
     # numpy is the heaviest import; dataclasses pulls in inspect, ast and dis
     # and compiles code for every class it decorates.
     script = textwrap.dedent("""
@@ -209,7 +229,9 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
             cli.main(argv)
             check(argv)
         for argv, code in ((["equiv", "standard", "M6", "M61"], 0),
-                           (["equiv", "standard", "A1", sys.argv[1]], 1)):
+                           (["equiv", "standard", "A1", sys.argv[1]], 1),
+                           (["verify", sys.argv[2]], 0), (["verify", sys.argv[3]], 1),
+                           (["spectrum", sys.argv[2]], 2)):
             assert cli.main(argv) == code, argv
             check(argv)
         from hadamard6 import classify, get, haagerup_set, standard_equivalent
@@ -220,16 +242,15 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
         check("classify")
         assert haagerup_set(m6) == haagerup_set(m61)
         check("haagerup_set")
-        print("complex-exit", cli.main(["verify", sys.argv[2]]))
     """)
     src = os.path.dirname(os.path.dirname(hadamard6.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script, str(bh), str(cx)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(bh), str(cx), str(cx_off)], env=env,
                           capture_output=True, text=True, check=False, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "defect: 0" in lines and "defect: 4" in lines
-    assert "hadamard: true (numeric)" in lines and "complex-exit 0" in lines
+    assert "hadamard: true (numeric)" in lines and "hadamard: false (numeric)" in lines
 
 
 def test_equiv_standard_exit_codes_and_witness(capsys):

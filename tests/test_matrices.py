@@ -145,8 +145,81 @@ def test_numeric_rejects_non_unimodular():
 
 
 def test_numeric_requires_positive_tol():
-    with pytest.raises(ValueError):
-        is_hadamard_numeric(np.eye(2, dtype=np.complex128), 0.0)
+    for tol in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            is_hadamard_numeric(np.eye(2, dtype=np.complex128), tol)
+
+
+@pytest.mark.parametrize("m", [
+    [1, 1], np.ones(3), [[1, 1], [1]], [[1], [1, 1]], [[1, 1, 1], [1, 1, 1]],
+    np.ones((2, 3)), np.ones((2, 2, 2)), [], np.zeros((0, 0)),
+], ids=["1d-list", "1d-array", "ragged-short", "ragged-long", "2x3-list", "2x3-array",
+        "3d-array", "empty-list", "empty-array"])
+def test_numeric_and_format_reject_non_square(m):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        is_hadamard_numeric(m, 1e-10)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        format_matrix(m)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 complex(0, float("nan")), complex(1, -float("inf"))],
+                         ids=["nan", "inf", "-inf", "nan-imag", "-inf-imag"])
+def test_numeric_non_finite_entry_is_not_hadamard(bad):
+    # Every position, so a NaN that is not the first item of a reduction is caught.
+    base = ButsonMatrix(3, [[i * j for j in range(3)] for i in range(3)]).to_complex()
+    assert is_hadamard_numeric(base, 1e-10)
+    for r in range(3):
+        for c in range(3):
+            m = [list(row) for row in base]
+            m[r][c] = bad
+            assert not is_hadamard_numeric(m, 1e-10), (r, c)
+
+
+def _numpy_oracle(m, tol):
+    """The ndarray formula of the numeric check, with NaN counted as a failure."""
+    a = np.asarray(m, dtype=np.complex128)
+    n = a.shape[0]
+    return bool(np.all(np.abs(np.abs(a) - 1.0) <= tol)
+                and np.all(np.abs(a @ a.conj().T - n * np.eye(n)) <= tol))
+
+
+def _phased_hadamard(r, n):
+    """Fourier matrix F_n under random left and right phases, as nested lists."""
+    a = [r.random() for _ in range(n)]
+    b = [r.random() for _ in range(n)]
+    return [[complex(np.exp(2j * np.pi * (j * k / n + a[j] + b[k]))) for k in range(n)]
+            for j in range(n)]
+
+
+def test_numeric_agrees_with_numpy_oracle():
+    r = random.Random(20261018)
+    verdicts = {True: 0, False: 0}
+    for trial in range(300):
+        n = r.randrange(1, 9)
+        tol = r.choice([1e-6, 1e-8, 1e-9])
+        m = _phased_hadamard(r, n)
+        kind = trial % 4
+        if kind == 1:
+            # Phase jitter on one entry, from far below tol to far above it.
+            m[r.randrange(n)][r.randrange(n)] *= np.exp(1j * 10 ** r.uniform(-12, 0))
+        elif kind in (2, 3):
+            # Deviation placed at tol * (1 -+ 1e-3): far outside rounding error.
+            side = r.choice([-1, 1])
+            dev = tol * (1 + side * 1e-3)
+            i = r.randrange(n)
+            if kind == 2 and n > 1:
+                # Phase on one entry: off-diagonal Gram deviation 2 sin(theta / 2).
+                m[i][r.randrange(n)] *= np.exp(2j * np.arcsin(dev / 2))
+            else:
+                # Scale one row by 1 + s: diagonal Gram deviation n (2s + s^2).
+                s = np.sqrt(1 + dev / n) - 1
+                m[i] = [v * (1 + s) for v in m[i]]
+            assert is_hadamard_numeric(m, tol) == (side < 0), (n, tol, kind)
+        got = is_hadamard_numeric(m, tol)
+        assert got == is_hadamard_numeric(np.array(m), tol) == _numpy_oracle(m, tol), (n, tol, kind)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 50, verdicts
 
 
 def test_trivial_one_by_one_is_hadamard():
@@ -234,8 +307,25 @@ def test_bh_text_round_trip():
 def test_complex_text_round_trip():
     m = catalog.get("M6").to_complex()
     back = parse_matrix(format_matrix(m))
-    assert isinstance(back, np.ndarray)
+    assert type(back) is tuple and all(type(row) is tuple for row in back)
+    assert all(type(v) is complex for row in back for v in row)
     assert np.array_equal(back, m)
+
+
+def test_format_matrix_of_ndarray_matches_numpy_formula():
+    def numpy_formula(m):
+        arr = np.asarray(m, dtype=np.complex128)
+        lines = [f"C {arr.shape[0]}"]
+        for row in arr:
+            lines.append(" ".join(f"{repr(float(v.real))},{repr(float(v.imag))}" for v in row))
+        return "\n".join(lines) + "\n"
+
+    r = np.random.default_rng(20261018)
+    odd = np.array([[-0.0, complex(5e-324, -0.0)], [np.nan, complex(np.inf, -np.inf)]])
+    for m in (catalog.get("M6").to_complex(), odd, np.eye(3), np.arange(4).reshape(2, 2),
+              (r.standard_normal((5, 5)) + 1j * r.standard_normal((5, 5))).astype(np.complex64),
+              r.standard_normal((7, 7)) * 1e300):
+        assert format_matrix(m) == numpy_formula(m)
 
 
 @pytest.mark.parametrize("text", [
@@ -249,6 +339,9 @@ def test_complex_text_round_trip():
     "C 2\n1,0 1,0",
     "C 2\n1,0\n1,0 1,0",
     "C 1 2\n1,0",
+    "C 0",
+    "C -1",
+    "BH 3 0",
     "BH 3 2 1\n0 0\n0 0",
 ])
 def test_parse_rejects_malformed(text):
