@@ -124,21 +124,15 @@ def diagonal_normalized(b: ButsonMatrix) -> ButsonMatrix:
     return b.permuted(perm, range(b.n))
 
 
-def _agaian_symmetric_rows(a: float) -> list[list[float]]:
-    # agaian_symmetric as nested lists, for callers that run without numpy.
-    if not math.isfinite(a):
-        raise ValueError("parameter must be a finite real number")
-    a = float(a)
-    values = (1.0, a, a * a)
-    return [[values[e] for e in row] for row in get("A2").exponents]
-
-
 def agaian_symmetric(a: float) -> np.ndarray:
     """Real symmetric family: the A2 pattern with w replaced by a real number a."""
-    rows = _agaian_symmetric_rows(a)
+    if not math.isfinite(a):
+        raise ValueError("parameter must be a finite real number")
     import numpy as np
 
-    return np.array(rows, dtype=np.float64)
+    a = float(a)
+    values = (1.0, a, a * a)
+    return np.array([[values[e] for e in row] for row in get("A2").exponents], dtype=np.float64)
 
 
 def _build_catalog() -> dict[str, CatalogEntry]:

@@ -2,31 +2,29 @@
 and a one-shot audit report with one record per published claim.
 
 Exit codes: 0 success / property true, 1 property false or a refuted claim,
-2 usage or malformed input, 3 numeric failure (root or eigensolver
-convergence).
+2 usage or malformed input, 3 numeric failure (root convergence in `spectrum`;
+the report is exact and float-free).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import catalog
 from .equivalence import apply_witness, classify, standard_equivalent, unitary_equivalent
 from .invariants import (
-    REFERENCE_SPECTRA,
+    CLOSED_FORM_A2A,
     REFERENCE_SPECTRAL_FUNCTIONS,
     ConvergenceError,
     RankCertificate,
     charpoly_exact,
-    closed_form_A2a,
+    charpoly_group_ring,
     defect_certificate,
-    eig_real_symmetric,
+    group_ring_mul,
     poly_eq,
-    spectrum_distance,
     spectrum_numeric,
 )
 from .matrices import (
@@ -227,23 +225,12 @@ def _claim_hadamard() -> ClaimRecord:
     return ClaimRecord("C1", "every catalog matrix is Hadamard", computed, status)
 
 
-def _claim_m6_poly() -> ClaimRecord:
-    p = charpoly_exact(catalog.get("M6"))
-    ok = poly_eq(p, REFERENCE_SPECTRAL_FUNCTIONS["M6"])
+def _claim_reference_poly(cid: str, name: str, claim: str) -> ClaimRecord:
+    p = charpoly_exact(catalog.get(name))
+    ok = poly_eq(p, REFERENCE_SPECTRAL_FUNCTIONS[name])
     return ClaimRecord(
-        "C2", "scaled charpoly of M6 equals (x^2-1)^3 coefficientwise",
+        cid, claim,
         "exact match" if ok else "coefficients differ: " + str([str(c) for c in p.e]),
-        CONFIRMED if ok else REFUTED)
-
-
-def _claim_m61_spectrum() -> ClaimRecord:
-    p = charpoly_exact(catalog.get("M61"))
-    spec = spectrum_numeric(p)
-    dist = spectrum_distance(spec, REFERENCE_SPECTRA["M61"])
-    ok = dist <= 1e-10
-    return ClaimRecord(
-        "C3", "numeric spectrum of M61 matches the reference eigenvalue multiset",
-        f"max matched deviation {_f(dist)}",
         CONFIRMED if ok else REFUTED)
 
 
@@ -262,11 +249,7 @@ def _claim_m6_m61_standard() -> ClaimRecord:
 def _claim_variant_polys() -> ClaimRecord:
     names = ["A10", "A20", "A30", "A40", "A50", "A60"]
     polys = {n: charpoly_exact(catalog.get(n)) for n in names}
-    mismatched = []
-    for n in names:
-        if not poly_eq(polys[n], REFERENCE_SPECTRAL_FUNCTIONS[n]):
-            spectrum_numeric(polys[n])  # residual <= 1e-8 or it raises
-            mismatched.append(n)
+    mismatched = [n for n in names if not poly_eq(polys[n], REFERENCE_SPECTRAL_FUNCTIONS[n])]
     distinct = all(
         not poly_eq(polys[a], polys[b])
         for i, a in enumerate(names) for b in names[i + 1:]
@@ -278,7 +261,7 @@ def _claim_variant_polys() -> ClaimRecord:
         return ClaimRecord(
             "C5", "variant spectral functions match the reference displays and are distinct",
             f"pairwise distinct, but computed polynomials for {', '.join(mismatched)} differ "
-            "from the displays (numeric root consistency verified)", DISCREPANCY)
+            "from the displays", DISCREPANCY)
     return ClaimRecord(
         "C5", "variant spectral functions match the reference displays and are distinct",
         "all six match the displays exactly; all 15 pairs distinct", CONFIRMED)
@@ -300,15 +283,14 @@ def _claim_shared_spectrum() -> ClaimRecord:
     p2 = charpoly_exact(catalog.get("A2"))
     p3 = charpoly_exact(catalog.get("A3"))
     same = poly_eq(p1, p2) and poly_eq(p1, p3)
-    dist = spectrum_distance(spectrum_numeric(p1), REFERENCE_SPECTRA["A1"])
+    reference = poly_eq(p1, REFERENCE_SPECTRAL_FUNCTIONS["A1"])
     conj_invariant = poly_eq(p1, charpoly_exact(catalog.get("A1").conjugated()))
-    ok = same and dist <= 1e-10 and conj_invariant
     return ClaimRecord(
-        "C7", "A1, A2, A3 share their scaled charpoly, matching the reference "
-              "spectrum, independent of the root choice",
-        (f"identical exactly; max matched eigenvalue deviation {_f(dist)}; "
+        "C7", "A1, A2, A3 share their scaled charpoly, matching the reference spectrum "
+              "(x^2-6)(x^2-3x+6)^2 in x = sqrt6*lambda, independent of the root choice",
+        (f"identical exactly: {same}; reference matched exactly: {reference}; "
          f"conjugation-invariant: {conj_invariant}"),
-        CONFIRMED if ok else REFUTED)
+        CONFIRMED if same and reference and conj_invariant else REFUTED)
 
 
 def _claim_standard_classes() -> ClaimRecord:
@@ -355,42 +337,51 @@ def _claim_class_counts() -> ClaimRecord:
         CONFIRMED if ok else REFUTED)
 
 
+def _packed(coeffs) -> list[int]:
+    # A polynomial in x and a, x^k a^j at index 13k + j (Kronecker substitution).
+    # Every polynomial of the C11 audit has degree at most 6 in x and 12 in a, so
+    # group_ring_mul multiplies two of them without wrapping round.
+    out = [0] * 91
+    for k, poly in enumerate(coeffs):
+        out[13 * k:13 * k + len(poly)] = poly
+    return out
+
+
 def _claim_symmetric_family() -> ClaimRecord:
-    rt6 = math.sqrt(6.0)
-    notes = []
-    identities_ok = True
-    any_mismatch = False
-    for a in (0.0, 0.5, 1.0, 2.0, 3.0):
-        m = catalog._agaian_symmetric_rows(a)
-        eig = eig_real_symmetric(m)
-        trace_err = abs(sum(eig) - sum(row[i] for i, row in enumerate(m)))
-        frob_err = abs(sum(x * x for x in eig) - sum(x * x for row in m for x in row))
-        if trace_err > 1e-10 or frob_err > 1e-10:
-            identities_ok = False
-        formula = sorted(closed_form_A2a(a))
-        dev_scaled = max(abs(f - e / rt6) for f, e in zip(formula, sorted(eig)))
-        dev_plain = max(abs(f - e) for f, e in zip(formula, sorted(eig)))
-        if min(dev_scaled, dev_plain) > 1e-10:
-            any_mismatch = True
-        notes.append(f"a={_f(a)}: dev/sqrt6={_f(dev_scaled)} dev={_f(dev_plain)}")
-    eig1 = eig_real_symmetric(catalog._agaian_symmetric_rows(1.0))
-    rank_one_ok = abs(eig1[-1] - 6.0) <= 1e-10 and \
-        max(abs(x) for x in eig1[:-1]) <= 1e-10
-    status = REFUTED if not (identities_ok and rank_one_ok) else (
-        DISCREPANCY if any_mismatch else CONFIRMED)
+    # A2(a) has the entries a^e for A2's exponents e, so the group-ring Berkowitz
+    # loop at order 13, above every degree in a it reaches, gives det(xI - A2(a))
+    # over Z[a]. The closed form is read with x = sqrt6*lambda.
+    det = _packed(charpoly_group_ring(13, catalog.get("A2").exponents))
+    first, second = (_packed(f) for f in CLOSED_FORM_A2A)
+    square = group_ring_mul(second, second)
+    closed = group_ring_mul(first, square)
+    difference = [c - d for c, d in zip(closed, det)]
+    documented = difference == group_ring_mul(_packed([(0, 0, 0, 2)]), square)
+    rank_one = [sum(det[k:k + 13]) for k in range(0, 91, 13)] == [0, 0, 0, 0, 0, -6, 1]
+    # Both x^5 coefficients -6: the roots sum to 6 in x, so the unscaled values to sqrt6.
+    sum_six = closed[65:78] == det[65:78] == [-6] + [0] * 12
+    computed = (
+        "exact over Z[a], x = sqrt6*lambda: closed form minus det(xI - A2(a)) "
+        + ("is 2a^3 (x^2 - (2-a-a^2)x + 1-a-2a^2+3a^3-a^4)^2, zero only at a=0"
+           if documented else "is not 2a^3 times the square of its second factor")
+        + "; a=1 gives " + ("x^5(x-6), spectrum {6, 0^5}" if rank_one else "not x^5(x-6)")
+        + ("; read unscaled, the closed form sums to sqrt6 against trace 6" if sum_six
+           else "; the closed form's x^5 coefficient differs from -trace"))
+    status = DISCREPANCY if any(difference) else CONFIRMED
     return ClaimRecord(
-        "C11", "symmetric family: eigensolver identities hold; closed-form "
-               "values compared under both normalizations",
-        ("trace and Frobenius identities within 1e-10; a=1 gives {6, 0^5}; "
-         "closed form matches only at a=0 (scaled): " + "; ".join(notes)),
-        status)
+        "C11", "symmetric family A2(a): a=1 gives {6, 0^5}; published closed-form "
+               "spectrum compared with det(xI - A2(a)) over Z[a]",
+        computed, status if rank_one else REFUTED)
 
 
 def build_claims() -> list[ClaimRecord]:
     return [
         _claim_hadamard(),
-        _claim_m6_poly(),
-        _claim_m61_spectrum(),
+        _claim_reference_poly("C2", "M6",
+                              "scaled charpoly of M6 equals (x^2-1)^3 coefficientwise"),
+        _claim_reference_poly("C3", "M61",
+                              "spectrum of M61 is the reference eigenvalue multiset: "
+                              "(x^2-6)^2(x^2+4x+6) in x = sqrt6*lambda"),
         _claim_m6_m61_standard(),
         _claim_variant_polys(),
         _claim_dephased_collapse(),

@@ -8,7 +8,10 @@ is integer arithmetic. One type, CharPoly(n, q, e), holds the result: e_k is
 the x^k coefficient of det(xI - H), and the same tuple describes
 det(xI - H/sqrt(n)), whose x^k coefficient is e_k * n^(-(n-k)/2). Every
 sqrt(n) power is bookkeeping, so comparing spectra of H/sqrt(n) is an exact
-integer-cyclotomic test.
+integer-cyclotomic test. The group-ring loop is also public as
+charpoly_group_ring: for a matrix with entries a^e and q above every degree in
+a it reaches, its unreduced vectors are the characteristic polynomial over
+Z[a].
 
 The defect is exact too: the rank of the deformation system over Q(zeta_q) is
 computed by Gaussian elimination modulo prime ideals p of norm p < 2^62. Each
@@ -81,8 +84,8 @@ def _rotate(v: list[int], e: int) -> list[int]:
     return v[q - e:] + v[:q - e]
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    # Product in Z[x]/(x^q - 1), skipping the zero entries of a.
+def group_ring_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product in the group ring Z[x]/(x^q - 1), q = len(b); zero entries of a are skipped."""
     out = [0] * len(b)
     for i, ai in enumerate(a):
         if ai:
@@ -102,23 +105,24 @@ def _dot_conv(t: list[list[int]], poly: list[list[int]], i: int) -> list[int]:
     # Row i of the Toeplitz product: sum_j t[i - j] * poly[j].
     out = [0] * len(poly[0])
     for j in range(min(i, len(poly) - 1) + 1):
-        out = [o + r for o, r in zip(out, _convolve(t[i - j], poly[j]))]
+        out = [o + r for o, r in zip(out, group_ring_mul(t[i - j], poly[j]))]
     return out
 
 
-def charpoly_exact(b: ButsonMatrix) -> CharPoly:
-    """Exact det(xI - B) over Z[zeta_q], by the Samuelson-Berkowitz recurrence.
+def charpoly_group_ring(q: int, exponents) -> list[list[int]]:
+    """det(xI - B) in the group ring Z[x]/(x^q - 1), by the Samuelson-Berkowitz recurrence.
 
-    Peeling row and column k off the trailing block A_k = [[a, R], [C, M]]
-    gives charpoly(A_k) = T * charpoly(M), with T the lower-triangular
-    Toeplitz matrix whose first column is 1, -a, -R C, -R M C, -R M^2 C, ...
+    B_ij = zeta^exponents[i][j]; the result holds one integer vector per
+    coefficient, degree 0 first, indexed by exponent. Peeling row and column k
+    off the trailing block A_k = [[a, R], [C, M]] gives
+    charpoly(A_k) = T * charpoly(M), with T the lower-triangular Toeplitz
+    matrix whose first column is 1, -a, -R C, -R M C, -R M^2 C, ...
     (Berkowitz 1984). The recurrence is division-free and costs O(n^4) ring
-    operations, with no cap on n. Ring elements are integer vectors indexed by
-    exponent in the group ring Z[x]/(x^q - 1), where a matrix entry acts by
-    rotation; each coefficient is reduced modulo the q-th cyclotomic
-    polynomial once at the end, which is a ring homomorphism onto Z[zeta_q].
+    operations, with no cap on n; a matrix entry acts by rotation. When no
+    coefficient reaches degree q in zeta, nothing wraps and the vectors are
+    the characteristic polynomial over Z[zeta] with zeta an indeterminate.
     """
-    n, q, e = b.n, b.q, b.exponents
+    e, n = exponents, len(exponents)
     one = [1] + [0] * (q - 1)
     poly = [one]  # charpoly of the empty trailing block, leading coefficient first
     for k in range(n - 1, -1, -1):
@@ -130,7 +134,17 @@ def charpoly_exact(b: ButsonMatrix) -> CharPoly:
                 col = [_dot(e[i], col, rest) for i in rest]
             t.append([-c for c in _dot(e[k], col, rest)])
         poly = [_dot_conv(t, poly, i) for i in range(len(poly) + 1)]
-    return CharPoly(n, q, tuple(CycInt(q, poly[n - d]) for d in range(n + 1)))
+    return poly[::-1]
+
+
+def charpoly_exact(b: ButsonMatrix) -> CharPoly:
+    """Exact det(xI - B) over Z[zeta_q]: charpoly_group_ring reduced modulo Phi_q.
+
+    Reducing each coefficient modulo the q-th cyclotomic polynomial once at
+    the end is a ring homomorphism onto Z[zeta_q].
+    """
+    q = b.q
+    return CharPoly(b.n, q, tuple(CycInt(q, v) for v in charpoly_group_ring(q, b.exponents)))
 
 
 def scale(p: CharPoly, n: int) -> CharPoly:
@@ -574,6 +588,15 @@ def closed_form_A2a(a: float) -> list[float]:
     return [first[0], first[1], second_plus, second_plus, second_minus, second_minus]
 
 
+# closed_form_A2a read with x = sqrt(6) * lambda, as the two factors of
+# first * second^2: quadratics in x whose coefficients (degree 0 first) are
+# integer polynomials in a (degree 0 first).
+CLOSED_FORM_A2A = (
+    ((-4, 2, 2, 2), (-2, -2, -2), (1,)),  # x^2 - 2(1+a+a^2)x + 2a^3+2a^2+2a-4
+    ((1, -1, -2, 3, -1), (-2, 1, 1), (1,)),  # x^2 - (2-a-a^2)x + 1-a-2a^2+3a^3-a^4
+)
+
+
 def _poly(q: int, pairs) -> CharPoly:
     return CharPoly(6, q, tuple(CycInt(q, [a, b]) for a, b in pairs))
 
@@ -592,6 +615,10 @@ REFERENCE_SPECTRAL_FUNCTIONS: dict[str, CharPoly] = {
     "A02": _poly(3, [(-216, 0), (-36, 36), (0, 0), (-6, -12), (0, 0), (2, 1), (1, 0)]),
     "A03": _poly(3, [(-216, 0), (-72, -36), (0, 0), (6, 12), (0, 0), (1, -1), (1, 0)]),
     "M6": _poly(4, [(-216, 0), (0, 0), (108, 0), (0, 0), (-18, 0), (0, 0), (1, 0)]),
+    # The REFERENCE_SPECTRA multisets multiplied out in x = sqrt(6) * lambda:
+    # M61 (x^2-6)^2 (x^2+4x+6), A1 (x^2-6)(x^2-3x+6)^2.
+    "M61": _poly(4, [(216, 0), (144, 0), (-36, 0), (-48, 0), (-6, 0), (4, 0), (1, 0)]),
+    "A1": _poly(3, [(-216, 0), (216, 0), (-90, 0), (0, 0), (15, 0), (-6, 0), (1, 0)]),
 }
 
 _SQRT2 = math.sqrt(2.0)

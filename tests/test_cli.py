@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +297,27 @@ def test_report_is_deterministic(capsys):
     _, md2 = run(capsys, "report")
     assert md1 == md2
     assert "| C1 |" in md1
+
+
+def test_report_json_matches_golden_file(capsys):
+    # The report holds no float, so its bytes do not depend on the platform's libm.
+    code, out = run(capsys, "report", "--json")
+    assert code == 0
+    assert out.encode() == Path(__file__).with_name("report_golden.json").read_bytes()
+
+
+def test_report_runs_without_floating_point_spectra(monkeypatch):
+    from hadamard6 import invariants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report called a floating-point spectrum")
+
+    for name in ("spectrum_numeric", "spectrum_distance", "eig_real_symmetric",
+                 "closed_form_A2a"):
+        monkeypatch.setattr(invariants, name, refuse)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
+    monkeypatch.setattr(invariants.CharPoly, "complex_coeffs", refuse)
+    assert all(c.status != cli.REFUTED for c in cli.build_claims())
 
 
 @pytest.mark.parametrize("status", [cli.REFUTED, cli.DISCREPANCY])

@@ -9,6 +9,7 @@ import pytest
 from hadamard6 import catalog
 from hadamard6.cyclo import CycInt
 from hadamard6.invariants import (
+    CLOSED_FORM_A2A,
     REFERENCE_SPECTRA,
     REFERENCE_SPECTRAL_FUNCTIONS,
     CharPoly,
@@ -19,6 +20,7 @@ from hadamard6.invariants import (
     _prime_ideals,
     _rank_mod,
     charpoly_exact,
+    charpoly_group_ring,
     closed_form_A2a,
     defect,
     defect_certificate,
@@ -520,3 +522,62 @@ def test_closed_form_disagrees_with_eigensolver_at_one():
 def test_closed_form_rejects_non_finite():
     with pytest.raises(ValueError):
         closed_form_A2a(float("inf"))
+
+
+# --- exact references checked with sympy (tests only) -----------------------
+
+def test_reference_multisets_multiply_out_to_integer_references():
+    sympy = pytest.importorskip("sympy")
+    x, i = sympy.symbols("x"), sympy.I
+    rt2, rt3, rt5, rt6 = (sympy.sqrt(k) for k in (2, 3, 5, 6))
+    published = {
+        "M61": [-1, -1, 1, 1, (i - rt2) / rt3, -(i + rt2) / rt3],
+        "A1": [-1, 1] + [(rt3 - i * rt5) / (2 * rt2)] * 2 + [(rt3 + i * rt5) / (2 * rt2)] * 2,
+    }
+
+    def key(v):
+        return round(v.real, 9), v.imag
+
+    for name, values in published.items():
+        reference = sorted((v for v, m in REFERENCE_SPECTRA[name] for _ in range(m)), key=key)
+        exact = sorted((complex(v) for v in values), key=key)
+        assert exact == pytest.approx(reference, abs=1e-15)
+        poly = sympy.Poly(sympy.expand(sympy.prod([x - rt6 * v for v in values])), x)
+        expected = [int(c) for c in reversed(poly.all_coeffs())]
+        assert [c.coeffs[0] for c in REFERENCE_SPECTRAL_FUNCTIONS[name].e] == expected, name
+        assert all(not any(c.coeffs[1:]) for c in REFERENCE_SPECTRAL_FUNCTIONS[name].e)
+
+
+def _a2a_sympy():
+    sympy = pytest.importorskip("sympy")
+    a, x = sympy.symbols("a x")
+    grid = catalog.get("A2").exponents
+    return sympy, a, x, sympy.Matrix(6, 6, lambda i, j: a ** grid[i][j]).charpoly(x).as_expr()
+
+
+def _as_poly(rows, a, x):
+    return sum(c * a ** j * x ** k for k, row in enumerate(rows) for j, c in enumerate(row))
+
+
+def test_group_ring_charpoly_of_a2a_matches_sympy():
+    # Entries a^e of degree <= 2: no coefficient reaches degree 13 in a, so
+    # nothing wraps in Z[a]/(a^13 - 1).
+    sympy, a, x, det = _a2a_sympy()
+    got = _as_poly(charpoly_group_ring(13, catalog.get("A2").exponents), a, x)
+    assert sympy.expand(got - det) == 0
+
+
+def test_closed_form_table_expands_closed_form_a2a():
+    sympy, a, x, det = _a2a_sympy()
+    # closed_form_A2a's formula, each value times sqrt(6) (the scaled reading).
+    s, t = 1 + a + a ** 2, 2 - a * (1 + a)
+    r, u = sympy.sqrt(a ** 2 * (1 + a ** 2) + 5), sympy.sqrt(5 * a ** 2 * (a - 1) ** 2)
+    values = [s + r, s - r] + [(u + t) / 2] * 2 + [(-u + t) / 2] * 2
+    for value in (0.0, 0.5, 2.0, -1.7):
+        numeric = sorted(sympy.N(v.subs(a, value)) / math.sqrt(6) for v in values)
+        assert numeric == pytest.approx(sorted(closed_form_A2a(value)), abs=1e-12)
+    closed = sympy.expand(sympy.prod([x - v for v in values]))
+    first, second = (_as_poly(f, a, x) for f in CLOSED_FORM_A2A)
+    assert sympy.expand(closed - first * second ** 2) == 0
+    assert sympy.expand(closed - det - 2 * a ** 3 * second ** 2) == 0
+    assert sympy.factor(det.subs(a, 1)) == x ** 5 * (x - 6)
