@@ -19,7 +19,7 @@ such rank is a lower bound; full rank needs one prime, and a lower rank r is
 certified once the ideals at rank r have a norm product above the Hadamard
 bound (2(n-1))^((r+1) phi(q)/2) on every (r+1)-minor. No tolerance is involved.
 numpy is needed only by deformation_system, which builds the float system for
-comparison; eig_real_symmetric runs on Python lists.
+comparison, and by eig_real_symmetric, which calls LAPACK.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import chain, combinations, count, permutations
 from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, _prime_factors, euler_phi
-from .matrices import ButsonMatrix, Record, dephase, is_hadamard_exact
+from .matrices import ButsonMatrix, Record, _own_order, is_hadamard_exact
 
 if TYPE_CHECKING:
     import numpy as np
@@ -182,10 +182,6 @@ _DK_MAX_ITER = 1000
 # m-fold root (5e-6 at m = 3), while staying far below the separation of
 # distinct catalog roots (> 0.1).
 _CLUSTER_RADIUS = 1e-4
-
-# Bound, relative to n * max|entry|, on the trace and eigenvector residuals
-# that eig_real_symmetric checks before returning.
-_EIG_TOL = 1e-10
 
 
 def _durand_kerner(coeffs: list[complex]) -> list[complex]:
@@ -436,11 +432,8 @@ def _deformation_exponents(b: ButsonMatrix) -> tuple[int, int, list]:
     (i, j, ds): the coefficient of R_ik is zeta_q^ds[k-1] and that of R_jk
     its negative, for k >= 1; R is zero on the first row and column.
     """
-    d = dephase(b)[0]
-    g = math.gcd(d.q, *(x for row in d.exponents for x in row))
-    q = d.q // g
-    e = [[x // g for x in row] for row in d.exponents]
-    n = d.n
+    d = _own_order(b)
+    n, q, e = d.n, d.q, d.exponents
     system = [(i, j, [(e[i][k] - e[j][k]) % q for k in range(1, n)])
               for i in range(n) for j in range(n) if i != j]
     return n, q, system
@@ -516,56 +509,26 @@ def defect(b: ButsonMatrix) -> int:
 
 
 def eig_real_symmetric(m) -> list[float]:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a real symmetric matrix, ascending, from LAPACK.
 
-    m is a nested sequence or a 2-D ndarray; the work is on Python lists, and
-    each rotation updates two rows and two columns. Sweeps run until the
-    off-diagonal Frobenius norm drops below 1e-12. The trace identity and the
-    eigenvector residuals are checked against _EIG_TOL before returning;
-    eigenvalues come back sorted ascending.
+    m is a nested sequence or a 2-D ndarray, converted to float64. It must be
+    square, nonempty, finite and exactly symmetric, or ValueError is raised:
+    numpy.linalg.eigvalsh reads only one triangle, so it would not notice an
+    asymmetric input. A LinAlgError from LAPACK propagates.
     """
+    import numpy as np
+
     try:
-        a = [[float(x) for x in row] for row in m]
-    except TypeError:
+        a = np.array(m, dtype=np.float64)
+    except (TypeError, ValueError):
         raise ValueError("matrix must be square") from None
-    n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError("matrix must be square")
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i, n)):
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if not (a == a.T).all():
         raise ValueError("matrix must be exactly symmetric")
-    m0 = [row[:] for row in a]
-    trace = sum(a[i][i] for i in range(n))
-    scale_ref = max(1.0, max(abs(x) for row in a for x in row))
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(100):
-        off = math.sqrt(2.0 * sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off < 1e-12:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p][q]) <= off * 1e-20:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # a <- R^T a R and v <- v R, R the rotation in the (p, q) plane.
-                for row in a + v:
-                    x, y = row[p], row[q]
-                    row[p], row[q] = c * x - s * y, s * x + c * y
-                ap, aq = a[p], a[q]
-                a[p] = [c * x - s * y for x, y in zip(ap, aq)]
-                a[q] = [s * x + c * y for x, y in zip(ap, aq)]
-    else:
-        raise ConvergenceError("Jacobi sweeps did not reduce the off-diagonal norm")
-    eigs = [a[i][i] for i in range(n)]
-    if abs(sum(eigs) - trace) > _EIG_TOL * scale_ref * n:
-        raise ConvergenceError("eigenvalue sum drifted away from the trace")
-    residual = max(abs(sum(m0[i][k] * v[k][j] for k in range(n)) - v[i][j] * eigs[j])
-                   for i in range(n) for j in range(n))
-    if residual > _EIG_TOL * scale_ref * n:
-        raise ConvergenceError(f"eigenvector residual {residual:.3e} too large")
-    return sorted(eigs)
+    return np.linalg.eigvalsh(a).tolist()
 
 
 def closed_form_A2a(a: float) -> list[float]:

@@ -8,8 +8,9 @@ format also take any square nested sequence, numpy arrays included.
 numpy is imported inside the functions that build arrays, never at module
 level, and no subcommand calls one of them: every subcommand, on `BH` and `C`
 grids and catalog names alike, runs without numpy. It is loaded only by the
-three functions that return arrays: `ButsonMatrix.to_complex`,
-`invariants.deformation_system` and `catalog.agaian_symmetric`.
+three functions that return arrays, `ButsonMatrix.to_complex`,
+`invariants.deformation_system` and `catalog.agaian_symmetric`, and by
+`invariants.eig_real_symmetric`, which calls LAPACK.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ class ButsonMatrix(Record):
     def entry(self, i: int, j: int) -> int:
         return self.exponents[i][j]
 
-    def value(self, i: int, j: int) -> CycInt:
-        return CycInt.zeta(self.q, self.exponents[i][j])
-
     def to_complex(self) -> np.ndarray:
         import numpy as np
 
@@ -162,8 +160,12 @@ class ButsonMatrix(Record):
 
 
 def is_hadamard_exact(b: ButsonMatrix) -> bool:
-    """Exact row orthogonality: every off-diagonal row inner product is 0 in Z[zeta_q]."""
-    q, n, e = b.q, b.n, b.exponents
+    """Exact row orthogonality: every off-diagonal row inner product is 0 in Z[zeta_q].
+
+    The test runs on _own_order(b), whose q is often far smaller than b's.
+    """
+    d = _own_order(b)
+    q, n, e = d.q, d.n, d.exponents
     for i in range(n):
         for j in range(i + 1, n):
             counts = [0] * q
@@ -227,6 +229,18 @@ def dephase(b: ButsonMatrix) -> tuple[ButsonMatrix, PhaseVector, PhaseVector]:
     left = PhaseVector(q, tuple(e[i][0] for i in range(n)))
     right = PhaseVector(q, tuple((e[0][j] - e[0][0]) % q for j in range(n)))
     return ButsonMatrix(q, grid), left, right
+
+
+def _own_order(b: ButsonMatrix) -> ButsonMatrix:
+    """The dephased grid of b over its own order: q and every entry divided by their gcd.
+
+    Dividing keeps every entry (zeta_q^(g x) = zeta_(q/g)^x), and dephasing
+    multiplies each row inner product by a unit, so both steps keep row
+    orthogonality.
+    """
+    d = dephase(b)[0]
+    g = math.gcd(d.q, *(x for row in d.exponents for x in row))
+    return d if g == 1 else ButsonMatrix(d.q // g, [[x // g for x in r] for r in d.exponents])
 
 
 def rephase(b: ButsonMatrix, left: PhaseVector, right: PhaseVector) -> ButsonMatrix:

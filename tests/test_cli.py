@@ -175,6 +175,15 @@ def test_defect_values(capsys):
     assert code == 0 and "defect: 4" in out
 
 
+@pytest.mark.parametrize("command, out", [("verify", "hadamard: true (exact)\n"),
+                                          ("defect", "defect: 0\n")])
+def test_largest_order_answers_at_own_order(capsys, monkeypatch, command, out):
+    import io
+    text = "BH 4611686018427387904 2\n0 0\n0 2305843009213693952\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, command, "-") == (0, out)
+
+
 def test_defect_of_one_by_one(capsys, tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("BH 3 1\n0\n")

@@ -137,7 +137,7 @@ def test_top_coefficient_is_minus_trace():
         b = catalog.get(name)
         tr = CycInt.from_int(b.q, 0)
         for i in range(6):
-            tr = tr + b.value(i, i)
+            tr = tr + CycInt.zeta(b.q, b.entry(i, i))
         assert charpoly_exact(b).e[5] == -tr, name
 
 
@@ -409,6 +409,14 @@ def test_defect_of_random_equivalents_and_lifts():
             assert defect(c) == want == svd_defect(c), (name, lift)
 
 
+def test_defect_at_the_largest_order():
+    # The 2x2 Hadamard matrix written over q = 2**62: the system is built at q = 2.
+    h2 = ButsonMatrix(1 << 62, [[0, 0], [0, 1 << 61]])
+    assert _deformation_exponents(h2) == (2, 2, [(0, 1, [1]), (1, 0, [1])])
+    assert defect_certificate(h2) == defect_certificate(fourier(2))
+    assert defect(h2) == 0
+
+
 def test_rank_mod_drops_at_a_dividing_prime():
     rows = [[1, 2], [3, 1]]  # det -5
     assert _rank_mod(rows, 5) == 1
@@ -470,19 +478,50 @@ def test_jacobi_identities_across_parameters():
         assert abs(sum(x * x for x in eig) - np.sum(m * m)) < 1e-10
 
 
-def test_jacobi_matches_lapack_on_random_symmetric():
-    for _ in range(20):
-        raw = np.array([[rng.uniform(-3, 3) for _ in range(6)] for _ in range(6)])
-        m = raw + raw.T
-        got = eig_real_symmetric(m)
-        want = np.sort(np.linalg.eigvalsh(m))
-        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-9
+def test_jacobi_matches_exact_sympy_eigenvalues():
+    # Independent oracle: sympy's exact eigenvalues of A2(a) at rational a,
+    # each repeated by its multiplicity and evaluated to 30 digits.
+    sympy = pytest.importorskip("sympy")
+    for a in (sympy.Rational(1, 2), sympy.Integer(2), sympy.Rational(-17, 10)):
+        values = (1, a, a * a)
+        m = sympy.Matrix([[values[e] for e in row] for row in catalog.get("A2").exponents])
+        want = []
+        for ev, mult in m.eigenvals().items():
+            z = complex(sympy.N(ev, 30))
+            assert abs(z.imag) < 1e-20
+            want += [z.real] * mult
+        got = eig_real_symmetric(catalog.agaian_symmetric(float(a)))
+        assert max(abs(g - w) for g, w in zip(got, sorted(want))) < 1e-10, a
 
 
 def test_jacobi_rejects_asymmetric():
     m = np.eye(6)
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
+        eig_real_symmetric(m)
+
+
+def test_jacobi_takes_nested_lists():
+    got = eig_real_symmetric([[2, 1], [1, 2]])
+    assert all(type(x) is float for x in got)
+    assert abs(got[0] - 1.0) < 1e-14 and abs(got[1] - 3.0) < 1e-14
+
+
+@pytest.mark.parametrize("m", [
+    [[1.0, 2.0], [2.0]], [], [[]], np.zeros((0, 0)), [1.0, 2.0], np.ones((2, 3)),
+    np.ones((2, 2, 2)),
+], ids=["ragged", "empty", "empty-row", "empty-array", "1-D", "non-square", "3-D"])
+def test_jacobi_rejects_non_square(m):
+    with pytest.raises(ValueError, match="square"):
+        eig_real_symmetric(m)
+
+
+@pytest.mark.parametrize("m", [
+    [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [math.inf, 1.0]],
+    [[1.0, -math.inf], [-math.inf, 1.0]], [[math.nan, 0.0], [0.0, 1.0]],
+], ids=["inf-diagonal", "inf-off-diagonal", "-inf", "nan"])
+def test_jacobi_rejects_non_finite(m):
+    with pytest.raises(ValueError, match="finite"):
         eig_real_symmetric(m)
 
 

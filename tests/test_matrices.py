@@ -20,6 +20,7 @@ from hadamard6.matrices import (
     MAX_ORDER,
     ButsonMatrix,
     PhaseVector,
+    _own_order,
     dephase,
     format_matrix,
     is_hadamard_exact,
@@ -119,6 +120,27 @@ def test_root_order_above_2_62_rejected():
         ButsonMatrix(MAX_ORDER + 1, [[0]])
     with pytest.raises(ValueError):
         big.to_order(2 * MAX_ORDER)
+
+
+def test_exact_check_runs_at_the_own_order():
+    # The 2x2 Hadamard matrix written over q = 2**62 is checked at q = 2; the
+    # order-4 grid [[1, 1], [1, i]] over q = 2**62 is refused at q = 4.
+    h2 = ButsonMatrix(MAX_ORDER, [[5, 5], [7, 7 + (1 << 61)]])
+    assert _own_order(h2) == ButsonMatrix(2, [[0, 0], [0, 1]])
+    assert is_hadamard_exact(h2)
+    off = ButsonMatrix(MAX_ORDER, [[0, 0], [0, 1 << 60]])
+    assert _own_order(off).q == 4
+    assert not is_hadamard_exact(off)
+
+
+def test_exact_check_agrees_with_numeric_on_lifts():
+    mats = [catalog.get(name) for name in ("A1", "M6", "F6", "A10")]
+    mats += [random_butson(q, n) for _ in range(10)
+             for q, n in [(2, 2), (3, 3), (4, 4), (6, 2)]]
+    for b in mats:
+        for lift in (1, 5, 12):
+            c = b.to_order(b.q * lift)
+            assert is_hadamard_exact(c) == is_hadamard_numeric(c.to_complex(), 1e-9), (b, lift)
 
 
 def test_all_zero_grid_is_all_ones_matrix():
