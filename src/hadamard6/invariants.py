@@ -13,6 +13,19 @@ charpoly_group_ring: for a matrix with entries a^e and q above every degree in
 a it reaches, its unreduced vectors are the characteristic polynomial over
 Z[a].
 
+The group ring is packed into Python integers (Kronecker substitution): the
+vector (c_0, ..., c_(q-1)) becomes sum_i c_i X^i with X = 2^B, an element of
+Z/(2^(Bq) - 1), the image of Z[x]/(x^q - 1) under x -> X. Multiplying by an
+entry zeta^e rotates the Bq bits by Be, a sum is an integer sum folded back
+by (v & M) + (v >> Bq) with M = 2^(Bq) - 1, and a product is one integer
+product, folded. Values are kept signed, the fold acting on |v|, so sparse
+elements stay short. The map is a ring homomorphism, so intermediate values
+need no bound; only the result must decode. The x^(n-k) coefficient is a sum
+of n!/(n-k)! <= n! signed monomials (Leibniz), so each of its digits has
+absolute value at most n!, and B = 8 ceil((bitlen(n!) + 2)/8) keeps every
+digit below X/4. The balanced residue of the result is then sum_i c_i X^i,
+and its digits are read from the bytes in linear time.
+
 The defect is exact too: the rank of the deformation system over Q(zeta_q) is
 computed by Gaussian elimination modulo prime ideals p of norm p < 2^62. Each
 such rank is a lower bound; full rank needs one prime, and a lower rank r is
@@ -26,12 +39,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import Counter
 from itertools import chain, combinations, count, permutations
 from typing import TYPE_CHECKING
 
-from .cyclo import CycInt, _prime_factors, euler_phi
-from .matrices import ButsonMatrix, Record, _own_order, is_hadamard_exact
+from .cyclo import CycInt, _is_prime, _prime_factors, euler_phi
+from .matrices import ButsonMatrix, Record, _divided_order, _own_order, is_hadamard_exact
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,35 +92,55 @@ class Spectrum(Record):
         return [v for v, m in self.pairs for _ in range(m)]
 
 
-def _rotate(v: list[int], e: int) -> list[int]:
-    # v * zeta^e in Z[x]/(x^q - 1): a cyclic shift of the exponent-indexed vector.
-    q = len(v)
-    return v[q - e:] + v[:q - e]
+def _width(bound: int) -> int:
+    # Bytes per packed digit: |d| <= bound keeps d + X/2 in [1, X - 1], X = 2^(8w).
+    return (bound.bit_length() + 9) // 8
+
+
+def _pack(v: list[int], w: int) -> int:
+    # The image sum_i v[i] X^i, X = 2^(8w), of an exponent-indexed vector.
+    return sum(c << 8 * w * i for i, c in enumerate(v) if c)
+
+
+def _fold(v: int, bits: int, mask: int) -> int:
+    # v mod 2^bits - 1, kept signed and below 2^bits in absolute value.
+    a = abs(v)
+    while a >> bits:
+        a = (a & mask) + (a >> bits)
+    return a if v >= 0 else -a
+
+
+_DIGIT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _unpack(v: int, q: int, w: int) -> list[int]:
+    """The group-ring vector of length q whose image mod X^q - 1 is v, X = 2^(8w).
+
+    Exact when every digit lies strictly between -X/2 and X/2: the balanced
+    residue of v is then sum_i d_i X^i, and adding X/2 to every digit and
+    flipping its top bit leaves the two's-complement bytes of d_i.
+    """
+    bits = 8 * w * q
+    mask = (1 << bits) - 1
+    v = _fold(v, bits, mask)
+    if abs(v) > mask >> 1:
+        v -= mask if v > 0 else -mask
+    half = int.from_bytes((bytes(w - 1) + b"\x80") * q, "little")
+    raw = ((v + half) ^ half).to_bytes(w * q, sys.byteorder)
+    if w in _DIGIT_FORMATS:
+        digits = memoryview(raw).cast(_DIGIT_FORMATS[w]).tolist()
+    else:
+        digits = [int.from_bytes(raw[i:i + w], sys.byteorder, signed=True)
+                  for i in range(0, w * q, w)]
+    return digits if sys.byteorder == "little" else digits[::-1]
 
 
 def group_ring_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product in the group ring Z[x]/(x^q - 1), q = len(b); zero entries of a are skipped."""
-    out = [0] * len(b)
-    for i, ai in enumerate(a):
-        if ai:
-            out = [o + ai * r for o, r in zip(out, _rotate(b, i))]
-    return out
-
-
-def _dot(row: tuple[int, ...], vecs: list[list[int]], cols: range) -> list[int]:
-    # sum_j zeta^row[j] * vecs[j] over the columns j in cols.
-    out = [0] * len(vecs[0])
-    for v, j in zip(vecs, cols):
-        out = [o + r for o, r in zip(out, _rotate(v, row[j]))]
-    return out
-
-
-def _dot_conv(t: list[list[int]], poly: list[list[int]], i: int) -> list[int]:
-    # Row i of the Toeplitz product: sum_j t[i - j] * poly[j].
-    out = [0] * len(poly[0])
-    for j in range(min(i, len(poly) - 1) + 1):
-        out = [o + r for o, r in zip(out, group_ring_mul(t[i - j], poly[j]))]
-    return out
+    """Product in the group ring Z[x]/(x^q - 1), q = len(b), as one packed integer product."""
+    if not b:
+        return []
+    w = _width(sum(map(abs, a)) * max(map(abs, b)))
+    return _unpack(_pack(a, w) * _pack(b, w), len(b), w)
 
 
 def charpoly_group_ring(q: int, exponents) -> list[list[int]]:
@@ -118,33 +152,49 @@ def charpoly_group_ring(q: int, exponents) -> list[list[int]]:
     charpoly(A_k) = T * charpoly(M), with T the lower-triangular Toeplitz
     matrix whose first column is 1, -a, -R C, -R M C, -R M^2 C, ...
     (Berkowitz 1984). The recurrence is division-free and costs O(n^4) ring
-    operations, with no cap on n; a matrix entry acts by rotation. When no
-    coefficient reaches degree q in zeta, nothing wraps and the vectors are
-    the characteristic polynomial over Z[zeta] with zeta an indeterminate.
+    operations, with no cap on n. It runs on packed integers (see the module
+    docstring): a matrix entry acts by a cyclic bit rotation, and each
+    Toeplitz product is one integer product. When no coefficient reaches
+    degree q in zeta, nothing wraps and the vectors are the characteristic
+    polynomial over Z[zeta] with zeta an indeterminate.
     """
-    e, n = exponents, len(exponents)
-    one = [1] + [0] * (q - 1)
-    poly = [one]  # charpoly of the empty trailing block, leading coefficient first
+    n = len(exponents)
+    w = _width(math.factorial(n))
+    bits = 8 * w * q
+    mask = (1 << bits) - 1
+    shift = [[8 * w * (x % q) for x in row] for row in exponents]
+
+    def dot(row: list[int], vecs: list[int], cols: range) -> int:
+        # sum_j zeta^row[j] * vecs[j] for nonnegative vecs: rotations of bits.
+        return _fold(sum(((v << row[j]) & mask) + (v >> bits - row[j])
+                         for v, j in zip(vecs, cols)), bits, mask)
+
+    poly = [1]  # charpoly of the empty trailing block, leading coefficient first
     for k in range(n - 1, -1, -1):
-        rest = range(k + 1, n)
-        t = [one, [-c for c in _rotate(one, e[k][k])]]
-        col = [_rotate(one, e[i][k]) for i in rest]  # M^j C, starting at j = 0
+        rest, row = range(k + 1, n), shift[k]
+        t = [1, -(1 << row[k])]
+        col = [1 << shift[i][k] for i in rest]  # M^j C, starting at j = 0
         for j in rest:
             if j > k + 1:
-                col = [_dot(e[i], col, rest) for i in rest]
-            t.append([-c for c in _dot(e[k], col, rest)])
-        poly = [_dot_conv(t, poly, i) for i in range(len(poly) + 1)]
-    return poly[::-1]
+                col = [dot(shift[i], col, rest) for i in rest]
+            t.append(-dot(row, col, rest))
+        poly = [_fold(sum(t[i - j] * poly[j] for j in range(min(i, len(poly) - 1) + 1)),
+                      bits, mask) for i in range(len(poly) + 1)]
+    return [_unpack(v, q, w) for v in reversed(poly)]
 
 
 def charpoly_exact(b: ButsonMatrix) -> CharPoly:
     """Exact det(xI - B) over Z[zeta_q]: charpoly_group_ring reduced modulo Phi_q.
 
-    Reducing each coefficient modulo the q-th cyclotomic polynomial once at
-    the end is a ring homomorphism onto Z[zeta_q].
+    The loop runs at the grid's own order q/g, g the gcd of q and every
+    exponent (zeta_q^(g x) = zeta_(q/g)^x), and each coefficient is lifted
+    back with CycInt.to_order(q). Reducing modulo the cyclotomic polynomial
+    once at the end is a ring homomorphism onto Z[zeta_(q/g)], and the reduced
+    form is canonical, so the result equals the one computed at order q.
     """
-    q = b.q
-    return CharPoly(b.n, q, tuple(CycInt(q, v) for v in charpoly_group_ring(q, b.exponents)))
+    d = _divided_order(b)
+    return CharPoly(b.n, b.q, tuple(CycInt(d.q, v).to_order(b.q)
+                                    for v in charpoly_group_ring(d.q, d.exponents)))
 
 
 def scale(p: CharPoly, n: int) -> CharPoly:
@@ -334,35 +384,9 @@ def deformation_system(b: ButsonMatrix) -> np.ndarray:
     return np.array(rows).reshape(-1, n * n)
 
 
-# Miller-Rabin with these bases is deterministic below 3.3e24, far above the
-# primes that _prime_ideals reaches.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # The prime ideals are searched downward from here, so each one adds about
 # 62 bits to the norm product of the certificate.
 _PRIME_CEILING = 1 << 62
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for a in _MR_BASES:
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _prime_ideals(q: int):

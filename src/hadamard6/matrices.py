@@ -231,16 +231,22 @@ def dephase(b: ButsonMatrix) -> tuple[ButsonMatrix, PhaseVector, PhaseVector]:
     return ButsonMatrix(q, grid), left, right
 
 
-def _own_order(b: ButsonMatrix) -> ButsonMatrix:
-    """The dephased grid of b over its own order: q and every entry divided by their gcd.
+def _divided_order(b: ButsonMatrix) -> ButsonMatrix:
+    """b over its own order: q and every entry divided by their gcd.
 
-    Dividing keeps every entry (zeta_q^(g x) = zeta_(q/g)^x), and dephasing
-    multiplies each row inner product by a unit, so both steps keep row
-    orthogonality.
+    Dividing keeps every entry, since zeta_q^(g x) = zeta_(q/g)^x.
     """
-    d = dephase(b)[0]
-    g = math.gcd(d.q, *(x for row in d.exponents for x in row))
-    return d if g == 1 else ButsonMatrix(d.q // g, [[x // g for x in r] for r in d.exponents])
+    g = math.gcd(b.q, *(x for row in b.exponents for x in row))
+    return b if g == 1 else ButsonMatrix(b.q // g, [[x // g for x in r] for r in b.exponents])
+
+
+def _own_order(b: ButsonMatrix) -> ButsonMatrix:
+    """The dephased grid of b over its own order (see _divided_order).
+
+    Dephasing multiplies each row inner product by a unit and dividing keeps
+    every entry, so both steps keep row orthogonality.
+    """
+    return _divided_order(dephase(b)[0])
 
 
 def rephase(b: ButsonMatrix, left: PhaseVector, right: PhaseVector) -> ButsonMatrix:

@@ -17,8 +17,10 @@ from hadamard6.invariants import (
     _certify,
     _deformation_exponents,
     _horner,
+    _pack,
     _prime_ideals,
     _rank_mod,
+    _unpack,
     charpoly_exact,
     charpoly_group_ring,
     closed_form_A2a,
@@ -26,6 +28,7 @@ from hadamard6.invariants import (
     defect_certificate,
     deformation_system,
     eig_real_symmetric,
+    group_ring_mul,
     haagerup_set,
     poly_eq,
     scale,
@@ -107,6 +110,104 @@ def test_charpoly_matches_leibniz_on_random_grids():
         for n in range(1, 8):
             b = ButsonMatrix(q, [[local.randrange(q) for _ in range(n)] for _ in range(n)])
             assert charpoly_exact(b) == leibniz_charpoly(b), (q, b.exponents)
+
+
+def _rotate(v, e):
+    # v * zeta^e in Z[x]/(x^q - 1): a cyclic shift of the exponent-indexed vector.
+    q = len(v)
+    return v[q - e:] + v[:q - e]
+
+
+def list_group_ring_mul(a, b):
+    """Reference product in Z[x]/(x^q - 1), q = len(b), one rotated copy of b per term of a."""
+    out = [0] * len(b)
+    for i, ai in enumerate(a):
+        if ai:
+            out = [o + ai * r for o, r in zip(out, _rotate(b, i))]
+    return out
+
+
+def _dot(row, vecs, cols):
+    out = [0] * len(vecs[0])
+    for v, j in zip(vecs, cols):
+        out = [o + r for o, r in zip(out, _rotate(v, row[j]))]
+    return out
+
+
+def list_charpoly_group_ring(q, e):
+    """Reference Samuelson-Berkowitz loop on exponent-indexed lists of length q."""
+    n = len(e)
+    one = [1] + [0] * (q - 1)
+    poly = [one]
+    for k in range(n - 1, -1, -1):
+        rest = range(k + 1, n)
+        t = [one, [-c for c in _rotate(one, e[k][k])]]
+        col = [_rotate(one, e[i][k]) for i in rest]
+        for j in rest:
+            if j > k + 1:
+                col = [_dot(e[i], col, rest) for i in rest]
+            t.append([-c for c in _dot(e[k], col, rest)])
+        poly = [[sum(c) for c in zip(*(list_group_ring_mul(t[i - j], poly[j])
+                                       for j in range(min(i, len(poly) - 1) + 1)))]
+                for i in range(len(poly) + 1)]
+    return poly[::-1]
+
+
+def test_packed_group_ring_matches_list_loop_on_catalog():
+    for name in catalog.names():
+        b = catalog.get(name)
+        assert charpoly_group_ring(b.q, b.exponents) == list_charpoly_group_ring(b.q, b.exponents), name
+    a2 = catalog.get("A2").exponents
+    assert charpoly_group_ring(13, a2) == list_charpoly_group_ring(13, a2)
+
+
+def test_packed_group_ring_matches_list_loop_on_random_grids():
+    local = random.Random(1882)
+    for q in range(1, 31):
+        for n in (local.randrange(1, 7), local.randrange(7, 10)):
+            e = [[local.randrange(q) for _ in range(n)] for _ in range(n)]
+            assert charpoly_group_ring(q, e) == list_charpoly_group_ring(q, e), (q, e)
+
+
+def test_packed_group_ring_matches_list_loop_at_order_2310():
+    local = random.Random(2310)
+    e = [[local.randrange(2310) for _ in range(5)] for _ in range(5)]
+    assert charpoly_group_ring(2310, e) == list_charpoly_group_ring(2310, e)
+
+
+def test_group_ring_mul_matches_list_product():
+    local = random.Random(1982)
+    for q in (1, 2, 7, 13, 91):
+        for bound in (1, 3, 1000, 1 << 70):
+            a = [local.randint(-bound, bound) for _ in range(q)]
+            b = [local.randint(-bound, bound) for _ in range(q)]
+            assert group_ring_mul(a, b) == list_group_ring_mul(a, b), (q, bound)
+    assert group_ring_mul([0, 0], [0, 0]) == [0, 0]
+    assert group_ring_mul([1], []) == []
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 8, 9])
+def test_pack_unpack_round_trip_at_extreme_digits(w):
+    top = (1 << 8 * w - 1) - 1
+    local = random.Random(w)
+    for q in (1, 2, 5, 17):
+        for digits in ([top] * q, [-top] * q, [local.choice((top, -top, 0)) for _ in range(q)]):
+            v = _pack(digits, w)
+            assert _unpack(v, q, w) == digits
+            # Any representative of the residue decodes alike, of either sign.
+            m = (1 << 8 * w * q) - 1
+            assert _unpack(v + 3 * m, q, w) == _unpack(v - 2 * m, q, w) == digits
+
+
+def test_charpoly_exact_runs_at_the_own_order():
+    # F6 written over q = 30030 divides back to q = 6; the lift is canonical.
+    f6 = catalog.get("F6")
+    lifted = ButsonMatrix(30030, [[5005 * x for x in row] for row in f6.exponents])
+    p = charpoly_exact(lifted)
+    assert p.q == 30030
+    assert p.e == tuple(c.to_order(30030) for c in charpoly_exact(f6).e)
+    big = charpoly_exact(ButsonMatrix(10 ** 6, [[0, 0], [0, 500000]]))
+    assert big.q == 10 ** 6 and big.e == (-2, 0, 1)  # x^2 - 2
 
 
 def test_charpoly_matches_sympy_beyond_dimension_eight():
