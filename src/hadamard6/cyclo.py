@@ -11,74 +11,24 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import count
 
 
 class OrderMismatchError(ValueError):
     """Two cyclotomic integers of different root orders were combined."""
 
 
-# Miller-Rabin with these bases is deterministic below 3.3e24, far above the
-# largest accepted root order and the primes that invariants._prime_ideals reaches.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for a in _MR_BASES:
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(m: int) -> int:
-    # A proper factor of the composite m, which has no prime factor below 38:
-    # Pollard's rho on x -> x^2 + c with Floyd's cycle search, trying the next
-    # c when the cycle closes on m itself.
-    for c in count(1):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % m
-            y = (y * y + c) % m
-            y = (y * y + c) % m
-            d = math.gcd(x - y, m)
-        if d != m:
-            return d
-
-
 def _prime_factors(q: int) -> list[int]:
-    # Distinct primes dividing q, ascending: the Miller-Rabin bases by trial
-    # division, then Pollard's rho splits what is left until every part is prime.
-    out = set()
-    for a in _MR_BASES:
-        if q % a == 0:
-            out.add(a)
-            while q % a == 0:
-                q //= a
-    parts = [q] if q > 1 else []
-    while parts:
-        m = parts.pop()
-        if _is_prime(m):
-            out.add(m)
-        else:
-            d = _rho(m)
-            parts += [d, m // d]
-    return sorted(out)
+    # Distinct primes dividing q, ascending, by trial division; each factor
+    # found is divided out, so the loop stops at the square root of what is
+    # left.
+    out, f = [], 2
+    while f * f <= q:
+        if q % f == 0:
+            out.append(f)
+            while q % f == 0:
+                q //= f
+        f += 1
+    return out + [q] if q > 1 else out
 
 
 def euler_phi(q: int) -> int:

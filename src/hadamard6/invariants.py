@@ -44,7 +44,7 @@ from collections import Counter
 from itertools import chain, combinations, count, permutations
 from typing import TYPE_CHECKING
 
-from .cyclo import CycInt, _is_prime, _prime_factors, euler_phi
+from .cyclo import CycInt, _prime_factors, euler_phi
 from .matrices import ButsonMatrix, Record, _divided_order, _own_order, is_hadamard_exact
 
 if TYPE_CHECKING:
@@ -384,9 +384,35 @@ def deformation_system(b: ButsonMatrix) -> np.ndarray:
     return np.array(rows).reshape(-1, n * n)
 
 
+# Miller-Rabin with these bases is deterministic below 3.3e24, far above the
+# primes that _prime_ideals reaches.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 # The prime ideals are searched downward from here, so each one adds about
 # 62 bits to the norm product of the certificate.
 _PRIME_CEILING = 1 << 62
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_ideals(q: int):

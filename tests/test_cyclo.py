@@ -1,20 +1,11 @@
 import cmath
 import math
-import random
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard6.cyclo import (
-    CycInt,
-    OrderMismatchError,
-    _is_prime,
-    _prime_factors,
-    cyclotomic_coeffs,
-    euler_phi,
-)
+from hadamard6.cyclo import CycInt, OrderMismatchError, cyclotomic_coeffs, euler_phi
 
 W = CycInt.zeta(3)
 I4 = CycInt.zeta(4)
@@ -27,44 +18,6 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_coeffs(4) == (1, 0, 1)
     assert cyclotomic_coeffs(6) == (1, -1, 1)
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
-
-
-def _trial_division(q):
-    # The former factorization, kept as a reference: distinct primes by trial
-    # division up to the square root of what is left.
-    out, f = [], 2
-    while f * f <= q:
-        if q % f == 0:
-            out.append(f)
-            while q % f == 0:
-                q //= f
-        f += 1
-    return out + [q] if q > 1 else out
-
-
-def test_prime_factors_match_trial_division():
-    local = random.Random(1975)
-    for q in list(range(1, 2000)) + [local.randrange(1, 10 ** 9) for _ in range(3000)]:
-        assert _prime_factors(q) == _trial_division(q), q
-
-
-@pytest.mark.parametrize("q, primes", [
-    (10 ** 14 + 31, [10 ** 14 + 31]),
-    (2 ** 62 - 57, [2 ** 62 - 57]),
-    ((2 ** 31 - 1) * (2 ** 31 - 19), [2 ** 31 - 19, 2 ** 31 - 1]),
-    (2 ** 62, [2]),
-    (1000003 ** 2 * 30030, [2, 3, 5, 7, 11, 13, 1000003]),
-])
-def test_prime_factors_of_large_orders_within_a_second(q, primes):
-    start = time.process_time()
-    assert _prime_factors(q) == primes
-    assert time.process_time() - start < 1.0
-
-
-def test_is_prime_small_values():
-    assert [p for p in range(60) if _is_prime(p)] == \
-        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
 
 
 def _divisor_recursion(q):

@@ -17,6 +17,7 @@ from hadamard6.invariants import (
     _certify,
     _deformation_exponents,
     _horner,
+    _is_prime,
     _pack,
     _prime_ideals,
     _rank_mod,
@@ -546,6 +547,12 @@ def test_prime_ideals_have_order_q():
             assert pow(z, q, p) == 1
             assert all(pow(z, k, p) != 1 for k in range(1, q))
         assert len(set(ideals)) == len(ideals)
+
+
+def test_is_prime_small_values():
+    assert [p for p in range(60) if _is_prime(p)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
 
 
 def test_defect_certificate_fields():
