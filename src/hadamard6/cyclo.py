@@ -3,14 +3,19 @@
 Elements live on the power basis 1, zeta, ..., zeta^(phi(q)-1) and are kept
 reduced modulo the q-th cyclotomic polynomial, so structural equality is ring
 equality and no tolerance is ever involved. Root orders 1, 2, 3, 4 and 6 are
-the ones the catalog exercises; any q whose cyclotomic polynomial can be
-computed works.
+the ones the catalog exercises; any q works. Phi_q is never held densely: it
+is the product of the binomials (1 - x^(q/d))^mu(d) over the squarefree
+divisors d of q, and multiplying a vector by Phi_q or by its inverse power
+series is one pass per binomial. Reducing a vector costs at most 2^omega(q)
+passes over its part at or above degree phi(q) and as many over the part
+below, omega(q) being the number of distinct primes of q.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import sub
 
 
 class OrderMismatchError(ValueError):
@@ -42,48 +47,60 @@ def euler_phi(q: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _binomials(q: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # phi(q) and the factors (q/d, mu(d)), ascending, over the squarefree
+    # divisors d of q: Phi_q(x) is the product of (1 - x^(q/d))^mu(d) for
+    # q > 1, and that product is 1 - x = -Phi_1(x) for q = 1.
+    primes = _prime_factors(q)
+    factors = [(q // math.prod(p for i, p in enumerate(primes) if d >> i & 1),
+                -1 if d.bit_count() % 2 else 1) for d in range(1 << len(primes))]
+    return euler_phi(q), tuple(sorted(factors))
+
+
+def _times_phi(factors, c: list, inverse: bool = False) -> None:
+    # Multiply the power series c by the product of the binomial factors (by
+    # its inverse if inverse), in place and truncated to len(c): one pass per
+    # factor of degree below len(c), the factors being sorted by degree.
+    for e, mu in factors:
+        if e >= len(c):
+            break
+        if (mu > 0) != inverse:  # multiply by 1 - x^e
+            c[e:] = map(sub, c[e:], c)
+        else:  # divide by 1 - x^e: a running sum
+            for i in range(e, len(c)):
+                c[i] += c[i - e]
+
+
 def cyclotomic_coeffs(q: int) -> tuple[int, ...]:
     """Coefficients (degree 0 upward) of the q-th cyclotomic polynomial.
 
-    With r the product of the distinct primes of q, Phi_q(x) = Phi_r(x^(q/r)),
-    and for r > 1 Phi_r is the product of (1 - x^(r/s))^mu(s) over the
-    divisors s of r. Each factor is one pass over the power series of Phi_r
-    truncated above its degree phi(r), where factors of higher degree are 1;
-    for r = 1 the single factor is x - 1 = -(1 - x).
+    Phi_q is the product of (1 - x^(q/d))^mu(d) over the squarefree divisors
+    d of q, for q > 1: starting from the power series 1, truncated above
+    degree phi(q), each factor is one pass. For q = 1 the product is
+    1 - x = -Phi_1.
     """
-    if q < 1:
-        raise ValueError("root order must be positive")
-    primes = _prime_factors(q)
-    r = math.prod(primes)
-    deg = euler_phi(r)
-    c = [1 if primes else -1] + [0] * deg
-    for subset in range(1 << len(primes)):
-        d = r // math.prod(p for i, p in enumerate(primes) if subset >> i & 1)
-        if d > deg:
-            continue
-        if subset.bit_count() % 2:  # divide by 1 - x^d: a running sum
-            for i in range(d, deg + 1):
-                c[i] += c[i - d]
-        else:  # multiply by 1 - x^d
-            c[d:] = [a - b for a, b in zip(c[d:], c)]
-    spread = [0] * (deg * (q // r) + 1)
-    spread[::q // r] = c
-    return tuple(spread)
+    deg, factors = _binomials(q)
+    c = [1 if q > 1 else -1] + [0] * deg
+    _times_phi(factors, c)
+    return tuple(c)
 
 
 def _reduce(q: int, coeffs) -> tuple[int, ...]:
-    phi_poly = cyclotomic_coeffs(q)
-    deg = len(phi_poly) - 1
+    # Remainder of c modulo Phi_q. Phi_q is palindromic for q > 1, so the
+    # quotient, read from its top coefficient down, is the reversed high part
+    # of c divided by Phi_q as a power series; the remainder is c minus
+    # quotient * Phi_q, of which only the terms below degree phi(q) are formed.
+    deg, factors = _binomials(q)
     c = list(coeffs)
-    if len(c) < deg:
-        c += [0] * (deg - len(c))
-    for i in range(len(c) - 1, deg - 1, -1):
-        t = c[i]
-        if t:
-            c[i] = 0
-            for j in range(deg):
-                c[i - deg + j] -= t * phi_poly[j]
-    return tuple(c[:deg])
+    if not any(c[deg:]):
+        return tuple(c[:deg]) + (0,) * (deg - len(c))
+    if q == 1:  # Phi_1 = x - 1 is not palindromic; the remainder is c(1)
+        return (sum(c),)
+    quot = c[:deg - 1:-1]
+    _times_phi(factors, quot, inverse=True)
+    low = quot[:-deg - 1:-1] + [0] * (deg - len(quot))
+    _times_phi(factors, low)
+    return tuple(map(sub, c[:deg], low))
 
 
 class CycInt:
@@ -103,9 +120,7 @@ class CycInt:
 
     @classmethod
     def zeta(cls, q: int, power: int = 1) -> CycInt:
-        vec = [0] * q
-        vec[power % q] = 1
-        return cls(q, vec)
+        return cls(q, [0] * (power % q) + [1])
 
     @property
     def q(self) -> int:
@@ -188,14 +203,13 @@ class CycInt:
 
     def to_order(self, q2: int) -> CycInt:
         """Re-express in Z[zeta_q2] for a multiple q2 of q (zeta_q = zeta_q2^(q2/q))."""
-        if q2 % self._q:
-            raise OrderMismatchError(f"{self._q} does not divide {q2}")
+        if q2 < 1 or q2 % self._q:
+            raise OrderMismatchError(f"{q2} is not a positive multiple of {self._q}")
         if q2 == self._q:
             return self
         m = q2 // self._q
-        vec = [0] * q2
-        for k, c in enumerate(self._coeffs):
-            vec[k * m] += c
+        vec = [0] * ((len(self._coeffs) - 1) * m + 1)
+        vec[::m] = self._coeffs
         return CycInt(q2, vec)
 
     def __bool__(self) -> bool:

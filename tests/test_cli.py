@@ -114,8 +114,9 @@ def test_root_order_too_large_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("command, out", [("verify", "hadamard: true (exact)\n"),
                                           ("defect", "defect: 0\n")])
 def test_million_root_order_answers(command, out):
-    # Phi_q for q = 10**6 has degree 400,000; building it must not dominate.
-    # A fresh interpreter, so the cached polynomial of another test is not reused.
+    # The grid divides back to its own order 2 before any ring arithmetic, so
+    # no vector of length 10**6 is reduced. A fresh interpreter, so the time
+    # includes the import and no state left by another test.
     src = os.path.dirname(os.path.dirname(hadamard6.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "hadamard6.cli", command, "-"],
@@ -313,6 +314,32 @@ def test_report_json_matches_golden_file(capsys):
     code, out = run(capsys, "report", "--json")
     assert code == 0
     assert out.encode() == Path(__file__).with_name("report_golden.json").read_bytes()
+
+
+def test_no_library_path_builds_a_dense_cyclotomic_polynomial(monkeypatch, capsys):
+    # Reduction runs on the binomial factors of Phi_q; the dense coefficients
+    # are built only for callers of cyclotomic_coeffs.
+    np = pytest.importorskip("numpy")
+    from hadamard6 import cyclo
+    from hadamard6.invariants import charpoly_exact
+
+    def refuse(q):
+        raise AssertionError(f"dense Phi_{q} built")
+
+    monkeypatch.setattr(cyclo, "cyclotomic_coeffs", refuse)
+    monkeypatch.setattr(hadamard6, "cyclotomic_coeffs", refuse)
+    code, out = run(capsys, "report", "--json")  # every claim of cli.build_claims()
+    assert code == 0
+    assert out.encode() == Path(__file__).with_name("report_golden.json").read_bytes()
+    # F6 over q = 30030 with entry (1, 1) moved by one step: the grid's own
+    # order stays 30030, so every coefficient is reduced modulo Phi_30030.
+    grid = [[5005 * x for x in row] for row in catalog.get("F6").exponents]
+    grid[1][1] += 1
+    b = ButsonMatrix(30030, grid)
+    p = charpoly_exact(b)
+    assert p.q == 30030 and p.e[6] == 1
+    numeric = np.poly(np.array(b.to_complex()))[::-1]
+    assert max(abs(c.embed() - v) for c, v in zip(p.e, numeric)) < 1e-9
 
 
 def test_report_runs_without_floating_point_spectra(monkeypatch):

@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard6.cyclo import CycInt, OrderMismatchError, cyclotomic_coeffs, euler_phi
+from hadamard6.cyclo import CycInt, OrderMismatchError, _reduce, cyclotomic_coeffs, euler_phi
 
 W = CycInt.zeta(3)
 I4 = CycInt.zeta(4)
@@ -55,6 +56,44 @@ def test_cyclotomic_matches_sympy(q):
     coeffs = cyclotomic_coeffs(q)
     assert len(coeffs) == euler_phi(q) + 1 == ref.degree() + 1
     assert {i: c for i, c in enumerate(coeffs) if c} == {k: int(c) for (k,), c in ref.terms()}
+
+
+def _dense_reduce(q, coeffs):
+    # The former reduction, kept as the reference: long division by the dense
+    # coefficients of Phi_q, one pass of phi(q) per nonzero high coefficient.
+    phi_poly = cyclotomic_coeffs(q)
+    deg = len(phi_poly) - 1
+    c = list(coeffs)
+    if len(c) < deg:
+        c += [0] * (deg - len(c))
+    for i in range(len(c) - 1, deg - 1, -1):
+        t = c[i]
+        if t:
+            c[i] = 0
+            for j in range(deg):
+                c[i - deg + j] -= t * phi_poly[j]
+    return tuple(c[:deg])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 30, 36, 105, 210, 2310])
+def test_reduce_matches_dense_long_division(q):
+    # Lengths 0..3q fall below, at and above phi(q); every length is tried up
+    # to q = 36, and edge lengths plus a seeded sample beyond that.
+    local = random.Random(q)
+    phi = euler_phi(q)
+    if q <= 36:
+        lengths = range(3 * q + 1)
+    else:
+        edges = {0, 1, phi - 1, phi, phi + 1, 2 * phi - 1, q, 3 * q}
+        lengths = sorted(edges | {local.randrange(3 * q + 1) for _ in range(2)})
+    for length in lengths:
+        full = [local.randint(-10 ** 6, 10 ** 6) for _ in range(length)]
+        sparse = [0] * length
+        for _ in range(3):
+            if length:
+                sparse[local.randrange(length)] = local.randint(-10 ** 6, 10 ** 6)
+        for v in (full, sparse):
+            assert _reduce(q, v) == _dense_reduce(q, v), (q, length, v)
 
 
 def test_euler_phi():
@@ -123,6 +162,9 @@ def test_to_order():
     assert (W + 2).to_order(12).conjugate() == (W.conjugate() + 2).to_order(12)
     with pytest.raises(OrderMismatchError):
         W.to_order(4)
+    for q2 in (0, -3):
+        with pytest.raises(OrderMismatchError):
+            CycInt(3, [1, 1]).to_order(q2)
 
 
 def test_str_and_repr():
