@@ -37,7 +37,9 @@ from .invariants import (
     spectrum_numeric,
 )
 from .equivalence import (
+    SEARCH_BUDGET,
     EquivVerdict,
+    SearchBudgetExceeded,
     Witness,
     apply_witness,
     classify,
@@ -48,9 +50,9 @@ from .equivalence import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ButsonMatrix", "CatalogEntry", "CharPoly", "ConvergenceError", "CycInt",
-    "EquivVerdict", "OrderMismatchError", "PhaseVector", "RankCertificate",
-    "Spectrum", "Witness", "agaian_symmetric", "agaian_variant", "apply_witness",
+    "SEARCH_BUDGET", "ButsonMatrix", "CatalogEntry", "CharPoly", "ConvergenceError",
+    "CycInt", "EquivVerdict", "OrderMismatchError", "PhaseVector", "RankCertificate",
+    "SearchBudgetExceeded", "Spectrum", "Witness", "agaian_symmetric", "agaian_variant", "apply_witness",
     "charpoly_exact", "classify", "closed_form_A2a", "cyclotomic_coeffs", "defect",
     "defect_certificate", "deformation_system", "dephase", "diagonal_normalized",
     "eig_real_symmetric", "euler_phi", "format_matrix", "get", "haagerup_set",

@@ -3,7 +3,8 @@ and a one-shot audit report with one record per published claim.
 
 Exit codes: 0 success / property true, 1 property false or a refuted claim,
 2 usage or malformed input, 3 numeric failure (root convergence in `spectrum`;
-the report is exact and float-free).
+the report is exact and float-free) or an `equiv standard` search that ran out
+of its node budget.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import os
 import sys
 
 from . import catalog
-from .equivalence import apply_witness, classify, standard_equivalent, unitary_equivalent
+from .equivalence import (
+    SearchBudgetExceeded,
+    apply_witness,
+    classify,
+    standard_equivalent,
+    unitary_equivalent,
+)
 from .invariants import (
     CLOSED_FORM_A2A,
     REFERENCE_SPECTRAL_FUNCTIONS,
@@ -471,6 +478,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except SearchBudgetExceeded as exc:
+        print(f"search budget exceeded: {exc}", file=sys.stderr)
         return 3
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)

@@ -120,6 +120,8 @@ class CycInt:
 
     @classmethod
     def zeta(cls, q: int, power: int = 1) -> CycInt:
+        if q < 1:  # before power % q, which fails or misleads for q <= 0
+            raise ValueError("root order must be positive")
         return cls(q, [0] * (power % q) + [1])
 
     @property

@@ -8,21 +8,27 @@ blind double loop. Dephasing cancels arbitrary unimodular diagonals, so the
 decision procedure is complete even though returned witnesses carry only
 q-th-root phases.
 
-The search is pure Python and looks at every row permutation on its own.
-Rows of b are dephased against a pivot row and each first column c0, and
-bitmasks over c0 record which dephased rows have the exponent multiset of
-each target row (row masks) and which pair with a second row as the target's
-rows pair with its row 1 (pair masks). Only the c0 left by both go to the
+The search is pure Python and depth first: a row permutation is extended
+one row at a time, in itertools order. Rows of b are dephased against a
+pivot row and each first column c0, and bitmasks over c0 record which
+dephased rows have the exponent multiset of each target row (row masks) and
+which pair with a second row as the target's rows pair with its row 1 (pair
+masks). A prefix that leaves no c0 is pruned with every permutation below
+it, which is 2-dimensional refinement in the sense of McKay & Piperno (2014)
+with pairs anchored at one row. The c0 left at a full permutation go to the
 exact test, a comparison of sorted dephased columns. Between Butson Hadamard
 matrices of prime order, whose row differences take each value equally
 often, row masks filter nothing; pair masks can, except at q = 2.
+
+Each search is bounded by a budget of nodes, SEARCH_BUDGET by default; a
+search that spends it raises SearchBudgetExceeded instead of answering.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import islice, permutations
+from operator import add
 
 from .invariants import charpoly_exact, haagerup_set, poly_eq
 from .matrices import ButsonMatrix, PhaseVector, Record, dephase
@@ -49,7 +55,7 @@ class EquivVerdict(Record):
     __slots__ = ("equivalent", "witness", "search_stats")
     equivalent: bool
     witness: Witness | None
-    search_stats: int  # row permutations examined
+    search_stats: int  # row permutations covered, pruned ones included
 
     def __post_init__(self) -> None:
         if self.equivalent and self.witness is None:
@@ -82,8 +88,24 @@ def _common_order(b1: ButsonMatrix, b2: ButsonMatrix) -> tuple[ButsonMatrix, But
     return b1.to_order(q), b2.to_order(q), q
 
 
-def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
-                        prescreen: bool = True) -> EquivVerdict:
+# Default node budget of standard_equivalent. A node is one (prefix, row)
+# extension tried; a full tree at n has sum n!/(n - k)! nodes over k = 1..n,
+# 986,409 at n = 9, so the default never trips for n <= 9.
+SEARCH_BUDGET = 10**6
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """The standard search tried its budget of nodes without a verdict."""
+
+    def __init__(self, nodes: int, covered: int) -> None:
+        super().__init__(f"standard search stopped after {nodes} nodes, "
+                         f"with {covered} row permutations covered")
+        self.nodes = nodes
+        self.covered = covered
+
+
+def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = True,
+                        budget: int | None = SEARCH_BUDGET) -> EquivVerdict:
     """Exhaustive, exact decision of b1 = D1 P1 b2 P2 D2.
 
     Returns the lexicographically smallest (row_perm, col_perm) witness when
@@ -91,11 +113,18 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     With prescreen enabled a Haagerup multiset mismatch refutes immediately
     (equal multisets are a necessary condition for equivalence).
 
-    Row permutations sigma are taken in itertools order and first columns c0
-    in ascending order. The row masks of pivot sigma[0] and the pair masks of
-    sigma[1] (see _masks) are built once and ANDed per sigma; each surviving
-    c0 is tested exactly. search_stats is the 1-based position of the row
-    permutation that gave the witness, or n! for a miss.
+    Row permutations sigma are walked depth first, as prefixes
+    sigma[0..k] in itertools order. The row masks of pivot sigma[0] are
+    built once per pivot, and the pair masks of sigma[1] (see _masks) the
+    first time a row-mask chain under it reaches a leaf with first columns
+    c0 left; from then on they are ANDed at every depth of that subtree. A
+    prefix with no c0 left is pruned with its (n - k - 1)! leaves, and each
+    c0 left at a leaf is tested exactly, in ascending order. search_stats is
+    the 1-based itertools position of the row permutation that gave the
+    witness, or n! for a miss.
+
+    budget caps the nodes tried, a node being one (prefix, row) extension;
+    None means no limit. Running out raises SearchBudgetExceeded.
     """
     if b1.n != b2.n:
         raise ValueError("matrices of different dimension are not comparable")
@@ -104,84 +133,140 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix,
     if prescreen and haagerup_set(a) != haagerup_set(b):
         return EquivVerdict(False, None, 0)
     target = dephase(a)[0].exponents
-    first = min(1, n - 1)
-    by_row, by_pair = _profiles(target), _profiles(target, first)
+    by_row, by_pair = _profiles(target), _profiles(target, min(1, n - 1), q)
     target_cols = list(zip(*target[1:]))
     want = sorted(target_cols)
-    block = math.factorial(n - 1)
-    perms = permutations(range(n))
-    for pivot in range(n):
-        rows = _dephased_rows(b.exponents, pivot, q)
-        # Target row 0 and the pivot row dephase to zeros, so
-        # row_masks[0][pivot] is full: at n = 1 it is the only mask.
-        row_masks = _masks(rows, by_row)
-        pair_masks: dict[int, list[list[int]]] = {}
-        for examined, sigma in enumerate(islice(perms, block), pivot * block + 1):
-            hits = row_masks[first][sigma[first]]
-            if not hits:
+    limit = math.inf if budget is None else budget
+    eb = b.exponents
+    # leaves[k]: row permutations under a prefix sigma[0..k].
+    leaves = [math.factorial(n - 1 - k) for k in range(n)]
+    sigma = [0] * n
+    hits = [0] * n  # hits[k]: the c0 left by sigma[0..k]
+    nxt = [0] * n  # nxt[k]: the next row to try at depth k
+    nodes, covered, used, k = n, 0, 0, 0  # the root tries n pivots
+    if nodes > limit:
+        raise SearchBudgetExceeded(0, 0)
+    pair = None  # the pair masks of sigma[1], once built
+    while k >= 0:
+        s = nxt[k]
+        while s < n and used >> s & 1:
+            s += 1
+        if s == n:
+            k -= 1
+            used ^= 1 << sigma[k]
+            if k <= 1:
+                pair = None
+            continue
+        nxt[k] = s + 1
+        if k:
+            h = hits[k - 1] & row_masks[k][s]
+            if h and pair is not None:
+                h &= pair[k][s]
+            if not h:
+                covered += leaves[k]
                 continue
+        else:
+            rows, groups = _dephased_rows(eb, s, q)
+            # Target row 0 and the pivot row dephase to zeros, so
+            # row_masks[0][pivot] is full and is not ANDed.
+            row_masks = _masks(groups, by_row)
+            pair_masks: dict[int, list[list[int]]] = {}
+            h = (1 << n) - 1
+        sigma[k] = s
+        if k < n - 1:
+            hits[k] = h
+            used |= 1 << s
+            if k == 1:
+                pair = pair_masks.get(s)
+            k += 1
+            if nodes + n - k > limit:
+                raise SearchBudgetExceeded(nodes, covered)
+            nodes += n - k
+            nxt[k] = 0
+            continue
+        if pair is None and n > 2:
+            pair = pair_masks[sigma[1]] = _masks(groups, by_pair, sigma[1], q)
             for i in range(2, n):
-                hits &= row_masks[i][sigma[i]]
-                if not hits:
-                    break
-            if hits and n > 2:
-                masks = pair_masks.get(sigma[1])
-                if masks is None:
-                    masks = pair_masks[sigma[1]] = _masks(rows, by_pair, sigma[1])
-                for i in range(2, n):
-                    hits &= masks[i][sigma[i]]
-                    if not hits:
-                        break
-            while hits:
-                c0 = (hits & -hits).bit_length() - 1
-                hits &= hits - 1
-                cols = list(zip(*[rows[s][c0] for s in sigma[1:]]))
-                if sorted(cols) != want:
-                    continue
-                # Equal columns are interchangeable, so giving each target
-                # column the smallest unused equal column yields the smallest tau.
-                spare: dict[tuple[int, ...], list[int]] = {}
-                for c in reversed(range(n)):
-                    if c != c0:
-                        spare.setdefault(cols[c], []).append(c)
-                tau = (c0, *(spare[col].pop() for col in target_cols[1:]))
-                witness = _build_witness(a, b, sigma, tau, q)
-                if apply_witness(witness, b) != a:
-                    raise RuntimeError("witness verification failed; search is inconsistent")
-                return EquivVerdict(True, witness, examined)
-    return EquivVerdict(False, None, n * block)
+                h &= pair[i][sigma[i]]
+        tau = _exact(rows, sigma, h, target_cols, want)
+        if tau:
+            witness = _build_witness(a, b, tuple(sigma), tau, q)
+            if apply_witness(witness, b) != a:
+                raise RuntimeError("witness verification failed; search is inconsistent")
+            return EquivVerdict(True, witness, covered + 1)
+        covered += 1
+    return EquivVerdict(False, None, covered)
 
 
-def _profiles(target, k: int | None = None) -> dict[tuple, list[int]]:
+def _exact(rows, sigma, hits: int, target_cols, want) -> tuple[int, ...] | None:
+    """The smallest column permutation tau, over the first columns c0 in hits,
+    under which row permutation sigma maps the dephased target onto b."""
+    while hits:
+        c0 = (hits & -hits).bit_length() - 1
+        hits &= hits - 1
+        cols = list(zip(*[rows[s][c0] for s in sigma[1:]]))
+        if sorted(cols) != want:
+            continue
+        # Equal columns are interchangeable, so giving each target
+        # column the smallest unused equal column yields the smallest tau.
+        spare: dict[tuple[int, ...], list[int]] = {}
+        for c in reversed(range(len(cols))):
+            if c != c0:
+                spare.setdefault(cols[c], []).append(c)
+        return (c0, *(spare[col].pop() for col in target_cols[1:]))
+    return None
+
+
+def _profiles(target, k: int | None = None, q: int = 0) -> dict[tuple, list[int]]:
     """Target rows i keyed by their exponent multiset or, given row k, by the
-    multiset of column pairs of rows (k, i)."""
+    multiset of column pairs of rows (k, i), each pair (x, y) encoded as
+    x*q + y."""
+    scaled = None if k is None else [x * q for x in target[k]]
     found: dict[tuple, list[int]] = {}
     for i, row in enumerate(target):
-        key = row if k is None else zip(target[k], row)
+        key = row if scaled is None else map(add, scaled, row)
         found.setdefault(tuple(sorted(key)), []).append(i)
     return found
 
 
-def _dephased_rows(eb, r: int, q: int) -> list[list[tuple[int, ...]]]:
-    """rows[s][c0] is row s of b dephased against row r and column c0."""
-    rows = []
-    for s in range(len(eb)):
-        u = [x - y for x, y in zip(eb[s], eb[r])]
-        rows.append([tuple([(x - y) % q for x in u]) for y in u])
-    return rows
+def _dephased_rows(eb, r: int, q: int):
+    """(rows, groups): rows[s][c0] is row s of b dephased against row r and
+    column c0. Columns c0 holding the same value of row s share one tuple,
+    and groups[s] lists each distinct tuple once with its bitmask of c0."""
+    rows, groups = [], []
+    for row in eb:
+        u = [(x - y) % q for x, y in zip(row, eb[r])]
+        shifted = {y: tuple([(x - y) % q for x in u]) for y in set(u)}
+        bits = dict.fromkeys(shifted, 0)
+        for c0, y in enumerate(u):
+            bits[y] |= 1 << c0
+        rows.append([shifted[y] for y in u])
+        groups.append([(shifted[y], m) for y, m in bits.items()])
+    return rows, groups
 
 
-def _masks(rows, profiles: dict[tuple, list[int]], anchor: int | None = None) -> list[list[int]]:
+def _masks(groups, profiles: dict[tuple, list[int]], anchor: int | None = None,
+           q: int = 0) -> list[list[int]]:
     """Bit c0 of masks[i][s] is set when row s, dephased against column c0,
-    has the key of target row i in profiles: its exponent multiset or, given
-    an anchor row, the multiset of its column pairs with that row."""
-    n = len(rows)
+    has the key of target row i in profiles (see _profiles): its exponent
+    multiset or, given an anchor row, the multiset of its column pairs with
+    that row. Each distinct dephased row, or pair of them, is keyed once."""
+    n = len(groups)
     masks = [[0] * n for _ in range(n)]
-    for s in range(n):
-        for c0, row in enumerate(rows[s]):
-            key = row if anchor is None else zip(rows[anchor][c0], row)
-            for i in profiles.get(tuple(sorted(key)), ()):
-                masks[i][s] |= 1 << c0
+    if anchor is None:
+        for s, group in enumerate(groups):
+            for row, m in group:
+                for i in profiles.get(tuple(sorted(row)), ()):
+                    masks[i][s] |= m
+        return masks
+    leads = [([x * q for x in row], m) for row, m in groups[anchor]]
+    for s, group in enumerate(groups):
+        for lead, m in leads:
+            for row, ms in group:
+                bits = m & ms
+                if bits:
+                    for i in profiles.get(tuple(sorted(map(add, lead, row))), ()):
+                        masks[i][s] |= bits
     return masks
 
 
@@ -201,11 +286,11 @@ def _build_witness(a: ButsonMatrix, b: ButsonMatrix, sigma: tuple[int, ...],
     return Witness(sigma, tau, PhaseVector(q, left), PhaseVector(q, right))
 
 
-def classify(mats, relation: str) -> list[list[int]]:
+def classify(mats, relation: str, budget: int | None = SEARCH_BUDGET) -> list[list[int]]:
     """Partition indices of mats under 'standard' or 'unitary' equivalence.
 
     Classes are ordered by first member and listed in input order, so the
-    output is deterministic.
+    output is deterministic. budget is passed on to each standard search.
     """
     mats = list(mats)
     if not mats:
@@ -224,7 +309,7 @@ def classify(mats, relation: str) -> list[list[int]]:
         sets = [Counter({v * (order // m.q): c for v, c in haagerup_set(m).items()})
                 for m in mats]
         related = lambda i, j: (sets[i] == sets[j] and standard_equivalent(
-            mats[i], mats[j], prescreen=False).equivalent)
+            mats[i], mats[j], prescreen=False, budget=budget).equivalent)
     else:
         raise ValueError("relation must be 'standard' or 'unitary'")
     classes: list[list[int]] = []

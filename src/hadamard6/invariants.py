@@ -499,7 +499,7 @@ def _certify(n: int, q: int, system: list, ideals) -> RankCertificate:
     columns = (n - 1) ** 2
     phi = euler_phi(q)
     exps = sorted({x for _, _, ds in system for x in ds})
-    rank, primes, norms, bound = -1, 0, 1, 1
+    rank, primes, bits, bound = -1, 0, 0, 1
     for p, z in ideals:
         image = dict(zip(exps, (pow(z, x, p) for x in exps)))
         rows = []
@@ -515,11 +515,13 @@ def _certify(n: int, q: int, system: list, ideals) -> RankCertificate:
         if r == columns:
             return RankCertificate(r, columns, 1, 0)
         if r > rank:
-            rank, primes, norms = r, 0, 1
+            rank, primes, bits = r, 0, 0
             bound = (2 * (n - 1)) ** ((r + 1) * phi)  # the square of the norm bound
         if r == rank:
-            primes, norms = primes + 1, norms * p
-        if norms * norms > bound:
+            primes, bits = primes + 1, bits + p.bit_length() - 1
+        # The norm product is at least 2**bits, and 2**bound.bit_length() > bound,
+        # so this test implies norms**2 > bound without squaring the product.
+        if 2 * bits >= bound.bit_length():
             return RankCertificate(rank, columns, primes, ((bound - 1).bit_length() + 1) // 2)
     raise ArithmeticError(f"rank {rank} of {columns} is not certified by the given ideals")
 

@@ -148,6 +148,12 @@ def test_zeta_wraps():
     assert CycInt.zeta(4, 2) == -1
 
 
+@pytest.mark.parametrize("q", [0, -1, -3])
+def test_zeta_rejects_non_positive_orders(q):
+    with pytest.raises(ValueError, match="root order must be positive"):
+        CycInt.zeta(q)
+
+
 def test_order_mismatch():
     with pytest.raises(OrderMismatchError):
         W + I4

@@ -7,6 +7,7 @@ import pytest
 from hadamard6 import catalog, equivalence
 from hadamard6.equivalence import (
     EquivVerdict,
+    SearchBudgetExceeded,
     Witness,
     apply_witness,
     classify,
@@ -351,21 +352,90 @@ def full_row_mask_pivots(a, b):
     n, full = a.n, (1 << a.n) - 1
     pivots = []
     for p in range(n):
-        masks = equivalence._masks(equivalence._dephased_rows(b.exponents, p, b.q), by_row)
+        _, groups = equivalence._dephased_rows(b.exponents, p, b.q)
+        masks = equivalence._masks(groups, by_row)
         if all(masks[i][s] == full for i in range(1, n) for s in range(n) if s != p):
             pivots.append(p)
     return pivots
+
+
+def repeated_row_copy(a):
+    """a with its last row replaced by zeta times the row before it."""
+    return ButsonMatrix(a.q, list(a.exponents[:-1]) + [[e + 1 for e in a.exponents[-2]]])
+
+
+def sylvester(k):
+    n = 1 << k
+    return ButsonMatrix(2, [[bin(i & j).count("1") % 2 for j in range(n)] for i in range(n)])
 
 
 def test_repeated_row_miss_with_full_row_masks(reference_standard):
     # A1 with its last row replaced by w times row 4: every other row
     # difference stays uniform, so against pivots 0..3 every row mask is full.
     a = catalog.get("A1")
-    b = ButsonMatrix(3, list(a.exponents[:5]) + [[e + 1 for e in a.exponents[4]]])
+    b = repeated_row_copy(a)
     assert full_row_mask_pivots(a, b) == [0, 1, 2, 3]
     verdict = standard_equivalent(a, b, prescreen=False)
     assert not verdict.equivalent and verdict.search_stats == 720
     assert verdict == reference_standard(a, b, prescreen=False)
+
+
+def test_sylvester_repeated_row_miss_covers_every_row_permutation():
+    # At q = 2 the pair masks are full too; pruned prefixes still count
+    # their leaves, so the miss reads 8!.
+    h8 = sylvester(3)
+    verdict = standard_equivalent(h8, repeated_row_copy(h8), prescreen=False)
+    assert verdict == EquivVerdict(False, None, 40320)
+
+
+def small_pairs():
+    """(x, y, equivalent) at n = 1, 2 and 3; at n <= 2 there are no pair masks."""
+    h2, f3 = ButsonMatrix(2, [[0, 0], [0, 1]]), fourier(3)
+    g3 = ButsonMatrix(3, [[0, 0, 0], [0, 1, 2], [0, 1, 1]])
+    return [
+        (ButsonMatrix(3, [[1]]), ButsonMatrix(4, [[3]]), True),
+        (ButsonMatrix(1, [[0]]), ButsonMatrix(6, [[5]]), True),
+        (h2, rephase(h2.to_order(4).permuted((1, 0), (1, 0)), PhaseVector(4, (1, 3)),
+                     PhaseVector(4, (2, 0))), True),
+        (h2, ButsonMatrix(2, [[0, 0], [0, 0]]), False),
+        (h2, ButsonMatrix(4, [[0, 1], [0, 1]]), False),
+        (f3, rephase(f3.permuted((2, 0, 1), (1, 2, 0)), PhaseVector(3, (1, 0, 2)),
+                     PhaseVector(3, (0, 2, 2))), True),
+        (f3, transposed(g3), False),
+        (g3, transposed(g3), True),
+    ]
+
+
+@pytest.mark.parametrize("x, y, equivalent", small_pairs())
+def test_walk_matches_reference_at_small_n(reference_standard, x, y, equivalent):
+    for prescreen in (True, False):
+        verdict = standard_equivalent(x, y, prescreen=prescreen)
+        assert verdict == reference_standard(x, y, prescreen=prescreen)
+        assert verdict.equivalent == equivalent
+
+
+def test_budget_counts_prefix_extensions():
+    # A first-leaf hit at n = 3 tries 3 pivots, then 2 rows at depth 1 and
+    # 1 at depth 2: 6 nodes.
+    b = ButsonMatrix(2, [[0] * 3] * 3)
+    assert standard_equivalent(b, b, budget=6).search_stats == 1
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        standard_equivalent(b, b, budget=5)
+    assert (exc.value.nodes, exc.value.covered) == (5, 0)
+
+
+def test_search_budget_on_a_small_miss():
+    a = catalog.get("A1")
+    b = repeated_row_copy(a)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        standard_equivalent(a, b, prescreen=False, budget=50)
+    assert isinstance(exc.value, RuntimeError)
+    assert 0 < exc.value.nodes <= 50 and 0 < exc.value.covered < 720
+    assert str(exc.value.nodes) in str(exc.value)
+    assert standard_equivalent(a, b, prescreen=False, budget=None) == EquivVerdict(False, None, 720)
+    # classify passes the budget on to each search.
+    with pytest.raises(SearchBudgetExceeded):
+        classify([a, random_transform(random.Random(3), a)], "standard", budget=5)
 
 
 def dephased_butson_hadamard(n, q):
