@@ -52,11 +52,11 @@ __version__ = "0.1.0"
 __all__ = [
     "SEARCH_BUDGET", "ButsonMatrix", "CatalogEntry", "CharPoly", "ConvergenceError",
     "CycInt", "EquivVerdict", "OrderMismatchError", "PhaseVector", "RankCertificate",
-    "SearchBudgetExceeded", "Spectrum", "Witness", "agaian_symmetric", "agaian_variant", "apply_witness",
-    "charpoly_exact", "classify", "closed_form_A2a", "cyclotomic_coeffs", "defect",
-    "defect_certificate", "deformation_system", "dephase", "diagonal_normalized",
-    "eig_real_symmetric", "euler_phi", "format_matrix", "get", "haagerup_set",
-    "is_hadamard_exact", "is_hadamard_numeric", "names", "parse_matrix", "poly_eq",
-    "rephase", "scale", "spectrum_distance", "spectrum_numeric", "standard_equivalent",
-    "unitary_equivalent",
+    "SearchBudgetExceeded", "Spectrum", "Witness", "agaian_symmetric", "agaian_variant",
+    "apply_witness", "charpoly_exact", "classify", "closed_form_A2a",
+    "cyclotomic_coeffs", "defect", "defect_certificate", "deformation_system",
+    "dephase", "diagonal_normalized", "eig_real_symmetric", "euler_phi",
+    "format_matrix", "get", "haagerup_set", "is_hadamard_exact", "is_hadamard_numeric",
+    "names", "parse_matrix", "poly_eq", "rephase", "scale", "spectrum_distance",
+    "spectrum_numeric", "standard_equivalent", "unitary_equivalent",
 ]

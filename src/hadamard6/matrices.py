@@ -142,6 +142,8 @@ class ButsonMatrix(Record):
         if q2 % self.q:
             raise ValueError(f"{self.q} does not divide {q2}")
         m = q2 // self.q
+        if m == 1:  # the grid is immutable, so it need not be copied
+            return self
         return ButsonMatrix(q2, [[e * m for e in row] for row in self.exponents])
 
     def conjugated(self) -> ButsonMatrix:

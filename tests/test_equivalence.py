@@ -432,7 +432,8 @@ def test_search_budget_on_a_small_miss():
     assert isinstance(exc.value, RuntimeError)
     assert 0 < exc.value.nodes <= 50 and 0 < exc.value.covered < 720
     assert str(exc.value.nodes) in str(exc.value)
-    assert standard_equivalent(a, b, prescreen=False, budget=None) == EquivVerdict(False, None, 720)
+    miss = standard_equivalent(a, b, prescreen=False, budget=None)
+    assert miss == EquivVerdict(False, None, 720)
     # classify passes the budget on to each search.
     with pytest.raises(SearchBudgetExceeded):
         classify([a, random_transform(random.Random(3), a)], "standard", budget=5)
