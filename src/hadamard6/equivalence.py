@@ -167,8 +167,8 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
                 continue
         else:
             rows, groups = _dephased_rows(eb, s, q)
-            # Target row 0 and the pivot row dephase to zeros, so
-            # row_masks[0][pivot] is full and is not ANDed.
+            # Target row 0 and the pivot row s dephase to zeros, so the
+            # pivot's own row mask is full and h starts full.
             row_masks = _masks(groups, by_row)
             pair_masks: dict[int, list[list[int]]] = {}
             h = (1 << n) - 1

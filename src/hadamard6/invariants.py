@@ -519,8 +519,8 @@ def _certify(n: int, q: int, system: list, ideals) -> RankCertificate:
             bound = (2 * (n - 1)) ** ((r + 1) * phi)  # the square of the norm bound
         if r == rank:
             primes, bits = primes + 1, bits + p.bit_length() - 1
-        # The norm product is at least 2**bits, and 2**bound.bit_length() > bound,
-        # so this test implies norms**2 > bound without squaring the product.
+        # The norm product is at least 2**bits and 2**bound.bit_length() > bound,
+        # so this test implies that its square exceeds bound, without forming it.
         if 2 * bits >= bound.bit_length():
             return RankCertificate(rank, columns, primes, ((bound - 1).bit_length() + 1) // 2)
     raise ArithmeticError(f"rank {rank} of {columns} is not certified by the given ideals")
