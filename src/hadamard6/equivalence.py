@@ -20,8 +20,9 @@ exact test, a comparison of sorted dephased columns. Between Butson Hadamard
 matrices of prime order, whose row differences take each value equally
 often, row masks filter nothing; pair masks can, except at q = 2.
 
-Each search is bounded by a budget of nodes, SEARCH_BUDGET by default; a
-search that spends it raises SearchBudgetExceeded instead of answering.
+Each search is bounded by SEARCH_BUDGET nodes, the exact tests at the
+leaves included; a search that spends it raises SearchBudgetExceeded
+instead of answering.
 """
 
 from __future__ import annotations
@@ -88,10 +89,12 @@ def _common_order(b1: ButsonMatrix, b2: ButsonMatrix) -> tuple[ButsonMatrix, But
     return b1.to_order(q), b2.to_order(q), q
 
 
-# Default node budget of standard_equivalent. A node is one (prefix, row)
-# extension tried; a full tree at n has sum n!/(n - k)! nodes over k = 1..n,
-# 986,409 at n = 9, so the default never trips for n <= 9.
-SEARCH_BUDGET = 10**6
+# Node budget of standard_equivalent, read at each call. A node is one
+# (prefix, row) extension tried or one first column c0 tested exactly at a
+# leaf. A full tree at n has sum n!/(n - k)! extensions over k = 1..n and at
+# most n * n! exact tests; this is that worst case at n = 9 (986,409 +
+# 3,265,920), so no search with n <= 9 trips it.
+SEARCH_BUDGET = 4_252_329
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -104,8 +107,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.covered = covered
 
 
-def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = True,
-                        budget: int | None = SEARCH_BUDGET) -> EquivVerdict:
+def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = True) -> EquivVerdict:
     """Exhaustive, exact decision of b1 = D1 P1 b2 P2 D2.
 
     Returns the lexicographically smallest (row_perm, col_perm) witness when
@@ -123,8 +125,9 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
     the 1-based itertools position of the row permutation that gave the
     witness, or n! for a miss.
 
-    budget caps the nodes tried, a node being one (prefix, row) extension;
-    None means no limit. Running out raises SearchBudgetExceeded.
+    At most SEARCH_BUDGET nodes are tried, a node being one (prefix, row)
+    extension or one exact test of a c0; the exact tests at a leaf are
+    charged before they run. Running out raises SearchBudgetExceeded.
     """
     if b1.n != b2.n:
         raise ValueError("matrices of different dimension are not comparable")
@@ -136,7 +139,7 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
     by_row, by_pair = _profiles(target), _profiles(target, min(1, n - 1), q)
     target_cols = list(zip(*target[1:]))
     want = sorted(target_cols)
-    limit = math.inf if budget is None else budget
+    limit = SEARCH_BUDGET
     eb = b.exponents
     # leaves[k]: row permutations under a prefix sigma[0..k].
     leaves = [math.factorial(n - 1 - k) for k in range(n)]
@@ -170,14 +173,11 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
             # Target row 0 and the pivot row s dephase to zeros, so the
             # pivot's own row mask is full and h starts full.
             row_masks = _masks(groups, by_row)
-            pair_masks: dict[int, list[list[int]]] = {}
             h = (1 << n) - 1
         sigma[k] = s
         if k < n - 1:
             hits[k] = h
             used |= 1 << s
-            if k == 1:
-                pair = pair_masks.get(s)
             k += 1
             if nodes + n - k > limit:
                 raise SearchBudgetExceeded(nodes, covered)
@@ -185,9 +185,13 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
             nxt[k] = 0
             continue
         if pair is None and n > 2:
-            pair = pair_masks[sigma[1]] = _masks(groups, by_pair, sigma[1], q)
+            pair = _masks(groups, by_pair, sigma[1], q)
             for i in range(2, n):
                 h &= pair[i][sigma[i]]
+        tests = h.bit_count()
+        if nodes + tests > limit:
+            raise SearchBudgetExceeded(nodes, covered)
+        nodes += tests
         tau = _exact(rows, sigma, h, target_cols, want)
         if tau:
             witness = _build_witness(a, b, tuple(sigma), tau, q)
@@ -286,11 +290,11 @@ def _build_witness(a: ButsonMatrix, b: ButsonMatrix, sigma: tuple[int, ...],
     return Witness(sigma, tau, PhaseVector(q, left), PhaseVector(q, right))
 
 
-def classify(mats, relation: str, budget: int | None = SEARCH_BUDGET) -> list[list[int]]:
+def classify(mats, relation: str) -> list[list[int]]:
     """Partition indices of mats under 'standard' or 'unitary' equivalence.
 
     Classes are ordered by first member and listed in input order, so the
-    output is deterministic. budget is passed on to each standard search.
+    output is deterministic.
     """
     mats = list(mats)
     if not mats:
@@ -309,7 +313,7 @@ def classify(mats, relation: str, budget: int | None = SEARCH_BUDGET) -> list[li
         sets = [Counter({v * (order // m.q): c for v, c in haagerup_set(m).items()})
                 for m in mats]
         related = lambda i, j: (sets[i] == sets[j] and standard_equivalent(
-            mats[i], mats[j], prescreen=False, budget=budget).equivalent)
+            mats[i], mats[j], prescreen=False).equivalent)
     else:
         raise ValueError("relation must be 'standard' or 'unitary'")
     classes: list[list[int]] = []

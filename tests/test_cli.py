@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hadamard6
-from hadamard6 import catalog, cli
+from hadamard6 import catalog, cli, equivalence
 from hadamard6.matrices import ButsonMatrix, format_matrix
 
 
@@ -281,22 +281,14 @@ def test_equiv_standard_exit_codes_and_witness(capsys):
     assert code == 1
 
 
-def test_equiv_standard_out_of_budget_exits_3(capsys, tmp_path):
-    # F11 with its last row replaced by zeta times row 9, against the same
-    # grid with its rows rotated by one: equivalent, with the same Haagerup
-    # multiset, but the masks leave so many prefixes that the search tries
-    # its 10**6 nodes (about 1 s) before it reaches a witness.
-    n = 11
-    rows = [[i * j % n for j in range(n)] for i in range(n)]
-    rows[-1] = [(e + 1) % n for e in rows[-2]]
-    grids = {"x": rows, "y": rows[1:] + rows[:1]}
-    for name, grid in grids.items():
-        text = "\n".join(" ".join(map(str, row)) for row in grid)
-        (tmp_path / f"{name}.txt").write_text(f"BH {n} {n}\n{text}\n")
-    code = cli.main(["equiv", "standard", str(tmp_path / "x.txt"), str(tmp_path / "y.txt")])
+def test_equiv_standard_out_of_budget_exits_3(capsys, monkeypatch):
+    # M6 against M61 is a hit, but 5 nodes do not cover the 6 pivots.
+    monkeypatch.setattr(equivalence, "SEARCH_BUDGET", 5)
+    code = cli.main(["equiv", "standard", "M6", "M61"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.startswith("search budget exceeded: standard search stopped after")
+    assert captured.err == ("search budget exceeded: standard search stopped "
+                            "after 0 nodes, with 0 row permutations covered\n")
 
 
 def test_equiv_unitary_exit_codes(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import partial
 from itertools import permutations
@@ -380,12 +381,24 @@ def test_repeated_row_miss_with_full_row_masks(reference_standard):
     assert verdict == reference_standard(a, b, prescreen=False)
 
 
-def test_sylvester_repeated_row_miss_covers_every_row_permutation():
-    # At q = 2 the pair masks are full too; pruned prefixes still count
-    # their leaves, so the miss reads 8!.
+def worst_case_nodes(n):
+    """Every (prefix, row) extension of a full tree, and n exact tests at
+    each of its n! leaves."""
+    return sum(math.perm(n, k) for k in range(1, n + 1)) + n * math.factorial(n)
+
+
+def test_sylvester_repeated_row_miss_covers_every_row_permutation(monkeypatch):
+    # At q = 2 the masks prune little; pruned prefixes still count their
+    # leaves, so the miss reads 8!, and the worst-case node count at n = 8
+    # is budget enough.
+    monkeypatch.setattr(equivalence, "SEARCH_BUDGET", worst_case_nodes(8))
     h8 = sylvester(3)
     verdict = standard_equivalent(h8, repeated_row_copy(h8), prescreen=False)
     assert verdict == EquivVerdict(False, None, 40320)
+
+
+def test_default_budget_covers_every_search_up_to_n_9():
+    assert equivalence.SEARCH_BUDGET == worst_case_nodes(9) == 986_409 + 3_265_920
 
 
 def small_pairs():
@@ -414,29 +427,33 @@ def test_walk_matches_reference_at_small_n(reference_standard, x, y, equivalent)
         assert verdict.equivalent == equivalent
 
 
-def test_budget_counts_prefix_extensions():
+def test_budget_counts_extensions_and_exact_tests(monkeypatch):
     # A first-leaf hit at n = 3 tries 3 pivots, then 2 rows at depth 1 and
-    # 1 at depth 2: 6 nodes.
+    # 1 at depth 2, and keeps all 3 first columns for the exact test: 6
+    # extensions and 3 tests, charged before the tests run.
     b = ButsonMatrix(2, [[0] * 3] * 3)
-    assert standard_equivalent(b, b, budget=6).search_stats == 1
+    monkeypatch.setattr(equivalence, "SEARCH_BUDGET", 9)
+    assert standard_equivalent(b, b).search_stats == 1
+    monkeypatch.setattr(equivalence, "SEARCH_BUDGET", 8)
     with pytest.raises(SearchBudgetExceeded) as exc:
-        standard_equivalent(b, b, budget=5)
+        standard_equivalent(b, b)
+    assert (exc.value.nodes, exc.value.covered) == (6, 0)
+    monkeypatch.setattr(equivalence, "SEARCH_BUDGET", 5)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        standard_equivalent(b, b)
     assert (exc.value.nodes, exc.value.covered) == (5, 0)
 
 
-def test_search_budget_on_a_small_miss():
+def test_search_budget_on_a_small_miss(monkeypatch):
     a = catalog.get("A1")
     b = repeated_row_copy(a)
+    assert standard_equivalent(a, b, prescreen=False) == EquivVerdict(False, None, 720)
+    monkeypatch.setattr(equivalence, "SEARCH_BUDGET", 50)
     with pytest.raises(SearchBudgetExceeded) as exc:
-        standard_equivalent(a, b, prescreen=False, budget=50)
+        standard_equivalent(a, b, prescreen=False)
     assert isinstance(exc.value, RuntimeError)
     assert 0 < exc.value.nodes <= 50 and 0 < exc.value.covered < 720
     assert str(exc.value.nodes) in str(exc.value)
-    miss = standard_equivalent(a, b, prescreen=False, budget=None)
-    assert miss == EquivVerdict(False, None, 720)
-    # classify passes the budget on to each search.
-    with pytest.raises(SearchBudgetExceeded):
-        classify([a, random_transform(random.Random(3), a)], "standard", budget=5)
 
 
 def dephased_butson_hadamard(n, q):
