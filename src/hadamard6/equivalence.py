@@ -20,6 +20,16 @@ exact test, a comparison of sorted dephased columns. Between Butson Hadamard
 matrices of prime order, whose row differences take each value equally
 often, row masks filter nothing; pair masks can, except at q = 2.
 
+With the prescreen on, rows are also coloured by their keys
+(invariants.row_keys): the Haagerup pair multisets of each row with every
+other row, which a witness carries from row sigma(k) of b onto row k of a.
+Grids whose key multisets differ are a miss of all n! row permutations
+without a walk, and otherwise the walk tries as sigma(k) only rows of b with
+the key of row k, so pivots of another colour build no masks. With the
+prescreen off the walk runs on the masks alone, as described above.
+classify keys each matrix once and searches only pairs with equal key
+multisets, with the same colours.
+
 Each search is bounded by SEARCH_BUDGET nodes, the exact tests at the
 leaves included; a search that spends it raises SearchBudgetExceeded
 instead of answering.
@@ -28,11 +38,10 @@ instead of answering.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from operator import add
 
-from .invariants import charpoly_exact, haagerup_set, poly_eq
-from .matrices import ButsonMatrix, PhaseVector, Record, dephase
+from .invariants import _haagerup_sum, charpoly_exact, poly_eq, row_keys
+from .matrices import ButsonMatrix, PhaseVector, Record, _dephased_exponents
 
 
 class Witness(Record):
@@ -113,17 +122,21 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
     Returns the lexicographically smallest (row_perm, col_perm) witness when
     one exists; the witness is verified by apply_witness before returning.
     With prescreen enabled a Haagerup multiset mismatch refutes immediately
-    (equal multisets are a necessary condition for equivalence).
+    (equal multisets are a necessary condition for equivalence), and the
+    row keys of both grids (see row_keys) colour the rows: a mismatch of
+    their multisets is a miss of all n! row permutations, and otherwise
+    sigma[k] = s only where row s of b2 has the key of row k of b1.
 
     Row permutations sigma are walked depth first, as prefixes
     sigma[0..k] in itertools order. The row masks of pivot sigma[0] are
     built once per pivot, and the pair masks of sigma[1] (see _masks) the
     first time a row-mask chain under it reaches a leaf with first columns
     c0 left; from then on they are ANDed at every depth of that subtree. A
-    prefix with no c0 left is pruned with its (n - k - 1)! leaves, and each
-    c0 left at a leaf is tested exactly, in ascending order. search_stats is
-    the 1-based itertools position of the row permutation that gave the
-    witness, or n! for a miss.
+    prefix whose last row has the wrong colour, or that has no c0 left, is
+    pruned with its (n - k - 1)! leaves, and each c0 left at a leaf is
+    tested exactly, in ascending order. search_stats is the 1-based
+    itertools position of the row permutation that gave the witness, or n!
+    for a miss.
 
     At most SEARCH_BUDGET nodes are tried, a node being one (prefix, row)
     extension or one exact test of a c0; the exact tests at a leaf are
@@ -133,9 +146,31 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
         raise ValueError("matrices of different dimension are not comparable")
     a, b, q = _common_order(b1, b2)
     n = a.n
-    if prescreen and haagerup_set(a) != haagerup_set(b):
-        return EquivVerdict(False, None, 0)
-    target = dephase(a)[0].exponents
+    if not prescreen:
+        return _search(a, b, q, [(1 << n) - 1] * n)
+    ka, kb = row_keys(a), row_keys(b)
+    if sorted(ka) != sorted(kb):
+        # Every pair multiset sits in the keys of both its rows, so the keys
+        # sum to the Haagerup set less its n^3 zeros.
+        ha, hb = (_haagerup_sum(n, ((items, 1) for key in keys for items in key))
+                  for keys in (ka, kb))
+        return EquivVerdict(False, None, 0 if ha != hb else math.factorial(n))
+    return _search(a, b, q, _colours(ka, kb))
+
+
+def _colours(ka: list[tuple], kb: list[tuple]) -> list[int]:
+    """Bit s of colours[k] is set when row s of b has the key of row k of a."""
+    rows_of: dict[tuple, int] = {}
+    for s, key in enumerate(kb):
+        rows_of[key] = rows_of.get(key, 0) | 1 << s
+    return [rows_of.get(key, 0) for key in ka]
+
+
+def _search(a: ButsonMatrix, b: ButsonMatrix, q: int, colours: list[int]) -> EquivVerdict:
+    """The depth-first walk of standard_equivalent over a and b at order q,
+    with sigma[k] in colours[k]."""
+    n = a.n
+    target = _dephased_exponents(a.exponents, q)
     by_row, by_pair = _profiles(target), _profiles(target, min(1, n - 1), q)
     target_cols = list(zip(*target[1:]))
     want = sorted(target_cols)
@@ -161,6 +196,9 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
                 pair = None
             continue
         nxt[k] = s + 1
+        if not colours[k] >> s & 1:
+            covered += leaves[k]
+            continue
         if k:
             h = hits[k - 1] & row_masks[k][s]
             if h and pair is not None:
@@ -304,16 +342,17 @@ def classify(mats, relation: str) -> list[list[int]]:
         polys = [charpoly_exact(m) for m in mats]
         related = lambda i, j: poly_eq(polys[i], polys[j])
     elif relation == "standard":
-        # One Haagerup multiset per matrix, compared at the batch's common
-        # order (value v at order q becomes v * order / q); only pairs with
-        # equal multisets are searched.
+        # Each matrix is lifted to the batch's common order and keyed once;
+        # only pairs with equal multisets of row keys are searched, with the
+        # rows coloured by their keys as in standard_equivalent.
         if any(m.n != mats[0].n for m in mats):
             raise ValueError("matrices of different dimension are not comparable")
         order = math.lcm(*(m.q for m in mats))
-        sets = [Counter({v * (order // m.q): c for v, c in haagerup_set(m).items()})
-                for m in mats]
-        related = lambda i, j: (sets[i] == sets[j] and standard_equivalent(
-            mats[i], mats[j], prescreen=False).equivalent)
+        mats = [m.to_order(order) for m in mats]
+        keys = [row_keys(m) for m in mats]
+        key_sets = [sorted(k) for k in keys]
+        related = lambda i, j: (key_sets[i] == key_sets[j] and _search(
+            mats[i], mats[j], order, _colours(keys[i], keys[j])).equivalent)
     else:
         raise ValueError("relation must be 'standard' or 'unitary'")
     classes: list[list[int]] = []

@@ -341,23 +341,71 @@ def spectrum_distance(spec: Spectrum, reference) -> float:
     return best
 
 
+def _pair_multisets(b: ButsonMatrix) -> list[tuple[dict[int, int], list[tuple[int, int]]]]:
+    """Row pairs i < k of b grouped by their multiset of differences
+    d = e_i - e_k mod q, each group with its pair multiset: the counts of
+    d_j - d_l mod q over all columns j and l, as {value: count}. Permuting d
+    keeps the pair multiset, so it is counted once per group, from the
+    counts of the differences."""
+    q, e = b.q, b.exponents
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, k in combinations(range(len(e)), 2):
+        groups.setdefault(tuple(sorted([(x - y) % q for x, y in zip(e[i], e[k])])), []).append((i, k))
+    table = []
+    for d, pairs in groups.items():
+        counts: dict[int, int] = {}
+        for x in d:  # cheaper than Counter(d) for rows this short
+            counts[x] = counts.get(x, 0) + 1
+        found: dict[int, int] = {}
+        for dj, cj in counts.items():
+            for dl, cl in counts.items():
+                v = (dj - dl) % q
+                found[v] = found.get(v, 0) + cj * cl
+        table.append((found, pairs))
+    return table
+
+
+def _haagerup_sum(n: int, weighted) -> Counter:
+    """n^3 zeros, from the n row pairs i = k, plus the sum of the given
+    (pair multiset items, weight) terms."""
+    out = Counter()
+    out[0] = n ** 3
+    for items, w in weighted:
+        for v, c in items:
+            out[v] = out.get(v, 0) + w * c
+    return out
+
+
 def haagerup_set(b: ButsonMatrix) -> Counter:
     """Multiset of e_ij + e_kl - e_il - e_kj mod q over all index quadruples.
 
-    For rows i and k the value is d_j - d_l with d = e_i - e_k, so a row pair
-    contributes the products of the counts of its differences mod q. Rows
-    (k, i) give the same values as (i, k), and each of the n pairs i = k
-    gives n^2 zeros.
+    For rows i and k the value is d_j - d_l with d = e_i - e_k, so the set
+    is the sum of the pair multisets of _pair_multisets. Rows (k, i) give
+    the same values as (i, k), and each of the n pairs i = k gives n^2
+    zeros.
     """
-    q, rows = b.q, b.exponents
-    n = len(rows)
-    out = Counter({0: n ** 3})
-    for ri, rk in combinations(rows, 2):
-        counts = Counter([(x - y) % q for x, y in zip(ri, rk)]).items()
-        for dj, cj in counts:
-            for dl, cl in counts:
-                out[(dj - dl) % q] += 2 * cj * cl
-    return out
+    return _haagerup_sum(len(b.exponents), [(found.items(), 2 * len(pairs))
+                                            for found, pairs in _pair_multisets(b)])
+
+
+def row_keys(b: ButsonMatrix) -> list[tuple]:
+    """Each row's key: the sorted pair multisets of its row pairs.
+
+    The pair multisets of rows (i, k) and (k, i) are equal (see
+    _pair_multisets), each as sorted (value, count) pairs, so row i's key
+    holds n - 1 of them and every pair sits in the keys of both its rows.
+    A standard equivalence D1 P1 b P2 D2 keeps every pair multiset, so row i
+    of the result has the key of row P1(i) of b: the keys are a vertex
+    invariant of the rows (McKay & Piperno 2014) that refines the Haagerup
+    set. Keys of two grids compare only at one root order q.
+    """
+    keys: list[list[tuple]] = [[] for _ in range(b.n)]
+    for found, pairs in _pair_multisets(b):
+        items = tuple(sorted(found.items()))
+        for i, k in pairs:
+            keys[i].append(items)
+            keys[k].append(items)
+    return [tuple(sorted(key)) for key in keys]
 
 
 def deformation_system(b: ButsonMatrix) -> np.ndarray:

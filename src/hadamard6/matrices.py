@@ -226,11 +226,14 @@ def dephase(b: ButsonMatrix) -> tuple[ButsonMatrix, PhaseVector, PhaseVector]:
     returned vectors satisfy rephase(dephased, left, right) == b.
     """
     q, n, e = b.q, b.n, b.exponents
-    grid = [[(e[i][j] - e[i][0] - e[0][j] + e[0][0]) % q for j in range(n)]
-            for i in range(n)]
     left = PhaseVector(q, tuple(e[i][0] for i in range(n)))
     right = PhaseVector(q, tuple((e[0][j] - e[0][0]) % q for j in range(n)))
-    return ButsonMatrix(q, grid), left, right
+    return ButsonMatrix(q, _dephased_exponents(e, q)), left, right
+
+
+def _dephased_exponents(e, q: int) -> list[list[int]]:
+    """The exponent grid of dephase(ButsonMatrix(q, e))[0], without building it."""
+    return [[(x - row[0] - y + e[0][0]) % q for x, y in zip(row, e[0])] for row in e]
 
 
 def _divided_order(b: ButsonMatrix) -> ButsonMatrix:

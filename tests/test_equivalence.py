@@ -15,7 +15,7 @@ from hadamard6.equivalence import (
     standard_equivalent,
     unitary_equivalent,
 )
-from hadamard6.invariants import charpoly_exact, haagerup_set
+from hadamard6.invariants import charpoly_exact, haagerup_set, row_keys
 from hadamard6.matrices import ButsonMatrix, PhaseVector, dephase, rephase
 
 rng = random.Random(99)
@@ -185,21 +185,21 @@ def test_classify_standard(monkeypatch):
 
     def counting(b):
         calls.append(b)
-        return haagerup_set(b)
+        return row_keys(b)
 
-    monkeypatch.setattr(equivalence, "haagerup_set", counting)
+    monkeypatch.setattr(equivalence, "row_keys", counting)
     mats = [catalog.get(n) for n in ("A1", "A2", "A3", "F6")]
-    # F6 has a different Haagerup multiset, so it lands alone.
+    # F6 has different row keys, so it lands alone.
     f6_at_order = mats[3]
     batch = [m.to_order(6) for m in mats[:3]] + [f6_at_order]
     classes = classify(batch, "standard")
     assert classes == [[0, 1, 2], [3]]
-    assert calls == batch  # one Haagerup multiset per matrix, none recomputed
-    # Mixed root orders are compared at their common order.
+    assert calls == batch  # one set of row keys per matrix, none recomputed
+    # Mixed root orders are keyed once each, lifted to their common order.
     mixed = [mats[0], mats[1].to_order(6), mats[2], mats[3]]
     calls.clear()
     assert classify(mixed, "standard") == [[0, 1, 2], [3]]
-    assert calls == mixed
+    assert calls == [m.to_order(6) for m in mixed]
 
 
 def test_classify_standard_rejects_mixed_dimensions():
@@ -330,6 +330,71 @@ def test_screen_matches_reference_on_random_pairs(reference_standard):
         assert standard_equivalent(x, y) == pre
         full = pre if pre.search_stats else reference_standard(x, y, prescreen=False)
         assert standard_equivalent(x, y, prescreen=False) == full
+
+
+def transpose_pairs():
+    """B against a random transform of B^T at n = 4..7: equal Haagerup sets,
+    and row keys that differ unless B^T happens to be equivalent to B."""
+    r = random.Random(404)
+    pairs = []
+    for n, count in ((4, 12), (5, 12), (6, 8), (7, 3)):
+        for _ in range(count):
+            b = random_grid(r, n, r.choice((2, 3, 4, 6)))
+            pairs.append((b, random_transform(r, transposed(b), lift=r.choice((1, 2)))))
+    return pairs
+
+
+def equal_key_pairs():
+    """Independent random q = 2 grids at n = 4..6 whose row keys agree as
+    multisets, so the walk with coloured rows decides them, drawn until
+    three pairs have column keys (the row keys of the transposes) that
+    differ, which makes them misses."""
+    r = random.Random(606)
+    pairs, misses = [], 0
+    while misses < 3:
+        n = r.choice((4, 5, 6))
+        x, y = random_grid(r, n, 2), random_grid(r, n, 2)
+        if sorted(row_keys(x)) == sorted(row_keys(y)):
+            pairs.append((x, y))
+            misses += sorted(row_keys(transposed(x))) != sorted(row_keys(transposed(y)))
+    return pairs
+
+
+def test_row_colours_match_reference(reference_standard):
+    keyed_apart, misses = 0, 0
+    for x, y in transpose_pairs():
+        a, b, _ = equivalence._common_order(x, y)
+        assert haagerup_set(a) == haagerup_set(b)
+        keyed_apart += sorted(row_keys(a)) != sorted(row_keys(b))
+        assert standard_equivalent(x, y) == reference_standard(x, y)
+        hit = random_transform(random.Random(x.n), x)
+        assert standard_equivalent(x, hit) == reference_standard(x, hit)
+    for x, y in equal_key_pairs():
+        verdict = standard_equivalent(x, y)
+        assert verdict == reference_standard(x, y)
+        misses += not verdict.equivalent
+    assert keyed_apart == 21 and misses >= 3
+
+
+def reference_classes(reference_standard, mats):
+    classes = []
+    for idx, m in enumerate(mats):
+        for cls in classes:
+            if reference_standard(mats[cls[0]], m).equivalent:
+                cls.append(idx)
+                break
+        else:
+            classes.append([idx])
+    return classes
+
+
+def test_classify_standard_matches_reference_with_transposes(reference_standard):
+    r = random.Random(505)
+    for n in (4, 5, 5, 6):
+        sources = [random_grid(r, n, r.choice((2, 3, 4))) for _ in range(2)]
+        sources += [transposed(s) for s in sources]
+        batch = [random_transform(r, r.choice(sources), lift=r.choice((1, 2))) for _ in range(6)]
+        assert classify(batch, "standard") == reference_classes(reference_standard, batch)
 
 
 def test_one_changed_row_is_an_exhaustive_miss(reference_standard):

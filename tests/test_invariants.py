@@ -32,6 +32,7 @@ from hadamard6.invariants import (
     group_ring_mul,
     haagerup_set,
     poly_eq,
+    row_keys,
     scale,
     spectrum_distance,
     spectrum_numeric,
@@ -414,6 +415,26 @@ def test_haagerup_matches_quadruple_loop_on_random_grids(haagerup_reference):
         for n in range(1, 8):
             b = ButsonMatrix(q, [[r.randrange(q) for _ in range(n)] for _ in range(n)])
             assert haagerup_set(b) == haagerup_reference(b), (q, n)
+
+
+def test_row_keys_follow_the_row_permutation():
+    # In D1 P1 B P2 D2 row i is row P1(i) of B, up to phases and a column
+    # permutation, so it has that row's key.
+    r = random.Random(17)
+    grids = [catalog.get(name) for name in ("A1", "M6", "F6")]
+    for q in (2, 3, 4, 6, 12, 1 << 62):
+        grids += [ButsonMatrix(q, [[r.randrange(q) for _ in range(n)] for _ in range(n)])
+                  for n in (4, 6, 7)]
+    for b in grids:
+        keys = row_keys(b)
+        for _ in range(5):
+            rp, cp = list(range(b.n)), list(range(b.n))
+            r.shuffle(rp)
+            r.shuffle(cp)
+            left = PhaseVector(b.q, tuple(r.randrange(b.q) for _ in range(b.n)))
+            right = PhaseVector(b.q, tuple(r.randrange(b.q) for _ in range(b.n)))
+            moved = row_keys(rephase(b.permuted(rp, cp), left, right))
+            assert moved == [keys[rp[i]] for i in range(b.n)], b
 
 
 def test_haagerup_rank_one_pattern_is_trivial():
