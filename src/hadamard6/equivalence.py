@@ -144,10 +144,10 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
     """
     if b1.n != b2.n:
         raise ValueError("matrices of different dimension are not comparable")
-    a, b, q = _common_order(b1, b2)
+    a, b, _ = _common_order(b1, b2)
     n = a.n
     if not prescreen:
-        return _search(a, b, q, [(1 << n) - 1] * n)
+        return _search(a, b, [(1 << n) - 1] * n)
     ka, kb = row_keys(a), row_keys(b)
     if sorted(ka) != sorted(kb):
         # Every pair multiset sits in the keys of both its rows, so the keys
@@ -155,7 +155,7 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
         ha, hb = (_haagerup_sum(n, ((items, 1) for key in keys for items in key))
                   for keys in (ka, kb))
         return EquivVerdict(False, None, 0 if ha != hb else math.factorial(n))
-    return _search(a, b, q, _colours(ka, kb))
+    return _search(a, b, _colours(ka, kb))
 
 
 def _colours(ka: list[tuple], kb: list[tuple]) -> list[int]:
@@ -166,10 +166,10 @@ def _colours(ka: list[tuple], kb: list[tuple]) -> list[int]:
     return [rows_of.get(key, 0) for key in ka]
 
 
-def _search(a: ButsonMatrix, b: ButsonMatrix, q: int, colours: list[int]) -> EquivVerdict:
-    """The depth-first walk of standard_equivalent over a and b at order q,
-    with sigma[k] in colours[k]."""
-    n = a.n
+def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdict:
+    """The depth-first walk of standard_equivalent over a and b, both at one
+    order q, with sigma[k] among the rows set in colours[k]."""
+    n, q = a.n, a.q
     target = _dephased_exponents(a.exponents, q)
     by_row, by_pair = _profiles(target), _profiles(target, min(1, n - 1), q)
     target_cols = list(zip(*target[1:]))
@@ -352,7 +352,7 @@ def classify(mats, relation: str) -> list[list[int]]:
         keys = [row_keys(m) for m in mats]
         key_sets = [sorted(k) for k in keys]
         related = lambda i, j: (key_sets[i] == key_sets[j] and _search(
-            mats[i], mats[j], order, _colours(keys[i], keys[j])).equivalent)
+            mats[i], mats[j], _colours(keys[i], keys[j])).equivalent)
     else:
         raise ValueError("relation must be 'standard' or 'unitary'")
     classes: list[list[int]] = []

@@ -384,8 +384,8 @@ def haagerup_set(b: ButsonMatrix) -> Counter:
     the same values as (i, k), and each of the n pairs i = k gives n^2
     zeros.
     """
-    return _haagerup_sum(len(b.exponents), [(found.items(), 2 * len(pairs))
-                                            for found, pairs in _pair_multisets(b)])
+    return _haagerup_sum(b.n, [(found.items(), 2 * len(pairs))
+                               for found, pairs in _pair_multisets(b)])
 
 
 def row_keys(b: ButsonMatrix) -> list[tuple]:
