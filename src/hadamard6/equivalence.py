@@ -337,6 +337,8 @@ def classify(mats, relation: str) -> list[list[int]]:
     mats = list(mats)
     if not mats:
         raise ValueError("classify needs at least one matrix")
+    if any(m.n != mats[0].n for m in mats):
+        raise ValueError("matrices of different dimension are not comparable")
     if relation == "unitary":
         # One polynomial per matrix; representatives are compared exactly.
         polys = [charpoly_exact(m) for m in mats]
@@ -345,8 +347,6 @@ def classify(mats, relation: str) -> list[list[int]]:
         # Each matrix is lifted to the batch's common order and keyed once;
         # only pairs with equal multisets of row keys are searched, with the
         # rows coloured by their keys as in standard_equivalent.
-        if any(m.n != mats[0].n for m in mats):
-            raise ValueError("matrices of different dimension are not comparable")
         order = math.lcm(*(m.q for m in mats))
         mats = [m.to_order(order) for m in mats]
         keys = [row_keys(m) for m in mats]

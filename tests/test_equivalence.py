@@ -202,9 +202,16 @@ def test_classify_standard(monkeypatch):
     assert calls == [m.to_order(6) for m in mixed]
 
 
-def test_classify_standard_rejects_mixed_dimensions():
-    with pytest.raises(ValueError):
-        classify([catalog.get("A1"), ButsonMatrix(3, [[0]])], "standard")
+def test_classify_rejects_mixed_dimensions(monkeypatch):
+    # Both relations refuse the batch before computing any invariant.
+    def never(b):
+        raise AssertionError("invariant computed for a batch of mixed dimension")
+
+    monkeypatch.setattr(equivalence, "charpoly_exact", never)
+    monkeypatch.setattr(equivalence, "row_keys", never)
+    for relation in ("standard", "unitary"):
+        with pytest.raises(ValueError, match="matrices of different dimension"):
+            classify([catalog.get("A1"), catalog.get("F6"), ButsonMatrix(3, [[0]])], relation)
 
 
 def test_classify_validates():
