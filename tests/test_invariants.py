@@ -170,20 +170,15 @@ def test_packed_group_ring_matches_list_loop_on_random_grids():
         for n in (local.randrange(1, 7), local.randrange(7, 10)):
             e = [[local.randrange(q) for _ in range(n)] for _ in range(n)]
             assert charpoly_group_ring(q, e) == list_charpoly_group_ring(q, e), (q, e)
-
-
-def test_packed_group_ring_matches_list_loop_at_depth():
-    # The depths at which spectrum runs H16 and F16.
-    local = random.Random(1216)
-    for q, n in ((2, 12), (3, 12), (4, 12), (2, 16)):
-        for _ in range(3):
-            e = [[local.randrange(q) for _ in range(n)] for _ in range(n)]
-            assert charpoly_group_ring(q, e) == list_charpoly_group_ring(q, e), (q, e)
+    # Deeper blocks, as when spectrum runs H16 and F16.
+    for q, n in ((2, 12), (3, 12), (4, 12), (2, 16)) * 3:
+        e = [[local.randrange(q) for _ in range(n)] for _ in range(n)]
+        assert charpoly_group_ring(q, e) == list_charpoly_group_ring(q, e), (q, e)
 
 
 def test_packed_group_ring_stays_cheap_on_a_sparse_grid_at_order_30030():
-    # Signed values keep a sparse element short; nonnegative residues M - v
-    # would make each negated one 2^(Bq) wide and this call take ~0.9 s.
+    # Signed values keep a sparse element short. Nonnegative residues M - v
+    # would make every negated element Bq bits wide, and this call about 0.9 s.
     e = [[0] * 6 for _ in range(6)]
     e[5][5] = 1
     start = time.process_time()
