@@ -402,22 +402,18 @@ def build_claims() -> list[ClaimRecord]:
 
 def cmd_report(args) -> int:
     claims = build_claims()
-    if args.json:
-        print(json.dumps({"claims": [
-            {"id": c.id, "claim": c.claim, "computed": c.computed, "status": c.status}
-            for c in claims
-        ]}, indent=2))
-    else:
-        print("# Claim audit\n")
-        print("| id | status | claim |")
-        print("|----|--------|-------|")
-        for c in claims:
-            print(f"| {c.id} | {c.status} | {c.claim} |")
-        print()
-        for c in claims:
-            print(f"{c.id} [{c.status}]")
-            print(f"  claim:    {c.claim}")
-            print(f"  computed: {c.computed}")
+    payload = {"claims": [
+        {"id": c.id, "claim": c.claim, "computed": c.computed, "status": c.status}
+        for c in claims
+    ]}
+    lines = ["# Claim audit", "", "| id | status | claim |", "|----|--------|-------|"]
+    lines += [f"| {c.id} | {c.status} | {c.claim} |" for c in claims]
+    lines.append("")
+    for c in claims:
+        lines.append(f"{c.id} [{c.status}]")
+        lines.append(f"  claim:    {c.claim}")
+        lines.append(f"  computed: {c.computed}")
+    _emit(args, payload, "\n".join(lines))
     return 1 if any(c.status == REFUTED for c in claims) else 0
 
 

@@ -23,11 +23,13 @@ often, row masks filter nothing; pair masks can, except at q = 2.
 With the prescreen on, rows are also coloured by their keys
 (invariants.row_keys): the Haagerup pair multisets of each row with every
 other row, which a witness carries from row sigma(k) of b onto row k of a.
-Grids whose key multisets differ are a miss of all n! row permutations
-without a walk, and otherwise the walk tries as sigma(k) only rows of b with
-the key of row k, so pivots of another colour build no masks. With the
-prescreen off the walk runs on the masks alone, as described above.
-classify keys each matrix once and searches only pairs with equal key
+Grids whose key multisets differ are a miss without a walk; the keys also
+sum to the Haagerup sets (invariants.haagerup_set), and the miss counts 0
+row permutations where those differ and all n! where they agree. Otherwise
+the walk tries as sigma(k) only rows of b with the key of row k, so pivots
+of another colour build no masks. With the prescreen off the walk runs on
+the masks alone, as described above. classify lifts the batch to one root
+order, keys each matrix once and searches only pairs with equal key
 multisets, with the same colours.
 
 Each search is bounded by SEARCH_BUDGET nodes, the exact tests at the
@@ -41,7 +43,7 @@ import math
 from operator import add
 
 from .invariants import _haagerup_sum, charpoly_exact, poly_eq, row_keys
-from .matrices import ButsonMatrix, PhaseVector, Record, _dephased_exponents
+from .matrices import ButsonMatrix, PhaseVector, Record, _dephased_exponents, _transformed
 
 
 class Witness(Record):
@@ -59,6 +61,8 @@ class Witness(Record):
             raise ValueError("witness permutations must be bijections")
         if len(self.left) != n or len(self.right) != n:
             raise ValueError("witness phase vectors must have length n")
+        if self.left.q != self.right.q:
+            raise ValueError("witness phase vectors must share one root order")
 
 
 class EquivVerdict(Record):
@@ -70,20 +74,17 @@ class EquivVerdict(Record):
     def __post_init__(self) -> None:
         if self.equivalent and self.witness is None:
             raise ValueError("an equivalent verdict must carry a witness")
+        if not self.equivalent and self.witness is not None:
+            raise ValueError("a miss carries no witness")
 
 
 def apply_witness(w: Witness, b: ButsonMatrix) -> ButsonMatrix:
     """Exponent arithmetic: out[i][j] = left[i] + b[row_perm[i]][col_perm[j]] + right[j]."""
-    n = b.n
-    if len(w.row_perm) != n:
+    if len(w.row_perm) != b.n:
         raise ValueError("witness size does not match the matrix")
     if w.left.q != b.q:
         raise ValueError("witness root order does not match the matrix")
-    return ButsonMatrix(
-        b.q,
-        [[w.left.exps[i] + b.entry(w.row_perm[i], w.col_perm[j]) + w.right.exps[j]
-          for j in range(n)] for i in range(n)],
-    )
+    return _transformed(b, w.row_perm, w.col_perm, w.left.exps, w.right.exps)
 
 
 def unitary_equivalent(b1: ButsonMatrix, b2: ButsonMatrix) -> bool:
@@ -93,9 +94,11 @@ def unitary_equivalent(b1: ButsonMatrix, b2: ButsonMatrix) -> bool:
     return poly_eq(charpoly_exact(b1), charpoly_exact(b2))
 
 
-def _common_order(b1: ButsonMatrix, b2: ButsonMatrix) -> tuple[ButsonMatrix, ButsonMatrix, int]:
-    q = math.lcm(b1.q, b2.q)
-    return b1.to_order(q), b2.to_order(q), q
+def _common_order(mats: list[ButsonMatrix]) -> list[ButsonMatrix]:
+    """mats lifted to the lcm of their root orders, so their exponents and
+    row keys compare."""
+    q = math.lcm(*(m.q for m in mats))
+    return [m.to_order(q) for m in mats]
 
 
 # Node budget of standard_equivalent, read at each call. A node is one
@@ -144,17 +147,14 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
     """
     if b1.n != b2.n:
         raise ValueError("matrices of different dimension are not comparable")
-    a, b, _ = _common_order(b1, b2)
+    a, b = _common_order([b1, b2])
     n = a.n
     if not prescreen:
         return _search(a, b, [(1 << n) - 1] * n)
     ka, kb = row_keys(a), row_keys(b)
     if sorted(ka) != sorted(kb):
-        # Every pair multiset sits in the keys of both its rows, so the keys
-        # sum to the Haagerup set less its n^3 zeros.
-        ha, hb = (_haagerup_sum(n, ((items, 1) for key in keys for items in key))
-                  for keys in (ka, kb))
-        return EquivVerdict(False, None, 0 if ha != hb else math.factorial(n))
+        refuted = _haagerup_sum(n, ka) != _haagerup_sum(n, kb)
+        return EquivVerdict(False, None, 0 if refuted else math.factorial(n))
     return _search(a, b, _colours(ka, kb))
 
 
@@ -347,8 +347,7 @@ def classify(mats, relation: str) -> list[list[int]]:
         # Each matrix is lifted to the batch's common order and keyed once;
         # only pairs with equal multisets of row keys are searched, with the
         # rows coloured by their keys as in standard_equivalent.
-        order = math.lcm(*(m.q for m in mats))
-        mats = [m.to_order(order) for m in mats]
+        mats = _common_order(mats)
         keys = [row_keys(m) for m in mats]
         key_sets = [sorted(k) for k in keys]
         related = lambda i, j: (key_sets[i] == key_sets[j] and _search(

@@ -156,9 +156,19 @@ class ButsonMatrix(Record):
         rp, cp = tuple(row_perm), tuple(col_perm)
         if sorted(rp) != list(range(n)) or sorted(cp) != list(range(n)):
             raise ValueError("permutations must be bijections on row/column indices")
-        return ButsonMatrix(
-            self.q, [[self.exponents[rp[i]][cp[j]] for j in range(n)] for i in range(n)]
-        )
+        return _transformed(self, rp, cp, (0,) * n, (0,) * n)
+
+
+def _transformed(b: ButsonMatrix, row_perm, col_perm, left, right) -> ButsonMatrix:
+    """Grid with entry (i, j) = left[i] + b[row_perm[i]][col_perm[j]] + right[j].
+
+    The one formula behind ButsonMatrix.permuted, rephase and
+    equivalence.apply_witness, each of which validates its own arguments
+    first: permutations of range(n) and exponent sequences of length n.
+    """
+    e = b.exponents
+    return ButsonMatrix(b.q, [[x + e[r][c] + y for c, y in zip(col_perm, right)]
+                              for r, x in zip(row_perm, left)])
 
 
 def is_hadamard_exact(b: ButsonMatrix) -> bool:
@@ -260,11 +270,7 @@ def rephase(b: ButsonMatrix, left: PhaseVector, right: PhaseVector) -> ButsonMat
         raise ValueError("phase vectors must share the matrix root order")
     if len(left) != b.n or len(right) != b.n:
         raise ValueError("phase vectors must have length n")
-    return ButsonMatrix(
-        b.q,
-        [[b.entry(i, j) + left.exps[i] + right.exps[j] for j in range(b.n)]
-         for i in range(b.n)],
-    )
+    return _transformed(b, range(b.n), range(b.n), left.exps, right.exps)
 
 
 def format_matrix(m) -> str:

@@ -317,6 +317,13 @@ def test_report_is_deterministic(capsys):
     _, md2 = run(capsys, "report")
     assert md1 == md2
     assert "| C1 |" in md1
+    # The Markdown report holds the claims of the golden JSON report.
+    claims = json.loads(Path(__file__).with_name("report_golden.json").read_bytes())["claims"]
+    expected = "# Claim audit\n\n| id | status | claim |\n|----|--------|-------|\n"
+    expected += "".join(f"| {c['id']} | {c['status']} | {c['claim']} |\n" for c in claims)
+    expected += "\n" + "".join(f"{c['id']} [{c['status']}]\n  claim:    {c['claim']}\n"
+                                f"  computed: {c['computed']}\n" for c in claims)
+    assert md1 == expected
 
 
 def test_report_json_matches_golden_file(capsys):

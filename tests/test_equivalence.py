@@ -53,6 +53,21 @@ def test_apply_witness_row_swap():
     assert swapped.exponents[0] == b.exponents[1]
     assert swapped.exponents[1] == b.exponents[0]
     assert swapped.exponents[2:] == b.exponents[2:]
+    # permuted, rephase and apply_witness against the entrywise formula.
+    r = random.Random(20261019)
+    for n, q in [(1, 5), (1, 1 << 62), (2, 2), (4, 3), (6, 1 << 62), (7, 12)]:
+        e = [[r.randrange(q) for _ in range(n)] for _ in range(n)]
+        rp, cp = r.sample(range(n), n), r.sample(range(n), n)
+        left, right = [r.randrange(q) for _ in range(n)], [r.randrange(q) for _ in range(n)]
+        b, ident, zero = ButsonMatrix(q, e), list(range(n)), [0] * n
+        lv, rv = PhaseVector(q, left), PhaseVector(q, right)
+        cases = [(b.permuted(rp, cp), rp, cp, zero, zero),
+                 (rephase(b, lv, rv), ident, ident, left, right),
+                 (apply_witness(Witness(tuple(rp), tuple(cp), lv, rv), b), rp, cp, left, right)]
+        for got, rows, cols, lft, rgt in cases:
+            assert got.exponents == tuple(
+                tuple((lft[i] + e[rows[i]][cols[j]] + rgt[j]) % q for j in range(n))
+                for i in range(n))
 
 
 def test_apply_witness_validates_sizes():
@@ -68,6 +83,12 @@ def test_witness_validation():
         Witness((0, 0, 1, 2, 3, 4), tuple(range(6)), zero, zero)
     with pytest.raises(ValueError):
         EquivVerdict(True, None, 1)
+    # Phase vectors of two root orders: applied to BH 2 [[0, 0], [0, 1]],
+    # zeta_3 would be read as -1.
+    with pytest.raises(ValueError):
+        Witness((0, 1), (0, 1), PhaseVector(2, (0, 0)), PhaseVector(3, (0, 1)))
+    with pytest.raises(ValueError):
+        EquivVerdict(False, Witness(tuple(range(6)), tuple(range(6)), zero, zero), 3)
 
 
 def test_m6_m61_standard_equivalent_with_verified_witness():
@@ -230,7 +251,8 @@ def reference_standard(haagerup_reference):
 
 def blind_standard(haagerup, b1, b2, prescreen=True):
     """Blind search: every (row permutation, c0) pair, exact column keys."""
-    a, b, q = equivalence._common_order(b1, b2)
+    a, b = equivalence._common_order([b1, b2])
+    q = a.q
     n = a.n
     if prescreen and haagerup(a) != haagerup(b):
         return EquivVerdict(False, None, 0)
@@ -370,7 +392,7 @@ def equal_key_pairs():
 def test_row_colours_match_reference(reference_standard):
     keyed_apart, misses = 0, 0
     for x, y in transpose_pairs():
-        a, b, _ = equivalence._common_order(x, y)
+        a, b = equivalence._common_order([x, y])
         assert haagerup_set(a) == haagerup_set(b)
         keyed_apart += sorted(row_keys(a)) != sorted(row_keys(b))
         assert standard_equivalent(x, y) == reference_standard(x, y)
