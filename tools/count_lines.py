@@ -5,10 +5,10 @@ A line counts when a token other than a comment, a docstring or layout
 string that makes up a whole statement. Continuation lines of a multi-line
 token do not count, since no token starts on them.
 
-    python tools/count_lines.py [directory]
+    python tools/count_lines.py
 
-prints one "module lines" row per .py file of the directory (default: the
-repository's src/hadamard6), sorted by name, and the total.
+prints one "module lines" row per .py file of the repository's
+src/hadamard6, sorted by name, and the total.
 """
 
 import sys
@@ -36,9 +36,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    default = Path(__file__).resolve().parents[1] / "src" / "hadamard6"
-    root = Path(argv[1]) if len(argv) > 1 else default
+def main() -> int:
+    root = Path(__file__).resolve().parents[1] / "src" / "hadamard6"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path)
@@ -49,4 +48,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
