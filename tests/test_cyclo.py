@@ -122,6 +122,54 @@ def test_ring_op_examples():
     assert (1 + W) * (1 + W) == W
 
 
+def test_coefficients_are_exact_python_ints():
+    # numpy integers become Python ints, so sums and products cannot wrap at
+    # 64 bits; floats are refused.
+    np = pytest.importorskip("numpy")
+    big = CycInt.from_int(3, np.int64(2 ** 62))
+    assert (big + big).coeffs == (2 ** 63, 0)
+    assert all(type(c) is int for c in big.coeffs)
+    assert (CycInt(3, np.array([2 ** 40, 1])) ** 2).coeffs == (2 ** 80 - 1, 2 ** 41 - 1)
+    with pytest.raises(TypeError):
+        CycInt(3, [0.5, 1.5])
+
+
+def _schoolbook(a, b):
+    # The former product, kept as the reference: a double loop over the
+    # coefficients, reduced modulo Phi_q by the constructor.
+    prod = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            for j, bj in enumerate(b.coeffs):
+                prod[i + j] += ai * bj
+    return CycInt(a.q, prod)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 12, 30, 210, 2310])
+def test_product_matches_schoolbook(q):
+    # Coefficients up to 2^70 in absolute value, and the all-2^70 element,
+    # whose square has a digit at the width bound of group_ring_mul.
+    local = random.Random(q)
+    phi = euler_phi(q)
+    top = 2 ** 70
+    sparse = [0] * phi
+    for _ in range(3):
+        sparse[local.randrange(phi)] = local.randint(-top, top)
+    elems = [CycInt.from_int(q, 0), CycInt.zeta(q, local.randrange(q)), CycInt(q, sparse),
+             CycInt(q, [local.choice((-1, 1)) for _ in range(phi)]),
+             CycInt(q, [local.randint(-top, top) for _ in range(phi)]),
+             CycInt(q, [top] * phi), CycInt(q, [-top] * phi)]
+    for a in elems:
+        for b in elems:
+            assert a * b == _schoolbook(a, b), (q, a, b)
+        for k in (0, 1, -3, top):
+            assert a * k == k * a == _schoolbook(CycInt.from_int(q, k), a), (q, a, k)
+        power = CycInt.from_int(q, 1)
+        for exponent in range(4):
+            assert a ** exponent == power, (q, a, exponent)
+            power = _schoolbook(power, a)
+
+
 def test_conjugate_examples():
     assert W.conjugate() == W * W
     assert I4.conjugate() == -I4

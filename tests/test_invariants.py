@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hadamard6 import catalog
-from hadamard6.cyclo import CycInt
+from hadamard6.cyclo import CycInt, _pack, _unpack, group_ring_mul
 from hadamard6.invariants import (
     CLOSED_FORM_A2A,
     REFERENCE_SPECTRA,
@@ -19,10 +19,8 @@ from hadamard6.invariants import (
     _deformation_exponents,
     _horner,
     _is_prime,
-    _pack,
     _prime_ideals,
     _rank_mod,
-    _unpack,
     charpoly_exact,
     charpoly_group_ring,
     closed_form_A2a,
@@ -30,7 +28,6 @@ from hadamard6.invariants import (
     defect_certificate,
     deformation_system,
     eig_real_symmetric,
-    group_ring_mul,
     haagerup_set,
     poly_eq,
     row_keys,
