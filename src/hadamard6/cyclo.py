@@ -30,6 +30,16 @@ residue of the result is then sum_i c_i X^i, and its digits are read from
 the bytes in linear time. CycInt multiplies by one such product, its second
 factor padded with zeros so that nothing wraps, and reduces the result
 modulo Phi_q.
+
+The arithmetic of Z behind these rings lives here too. Primality is
+Miller-Rabin with the thirteen primes 2..41 as bases, which is a proof below
+psi_13 = 3317044064679887385961981 (Sorenson & Webster 2017). Factoring q is
+trial division that stops as soon as what is left of q is 1 or a prime below
+that bound; it is tested once before the loop and once after each prime
+divided out, so a prime q, or a prime times a smooth part, costs about as
+much as that smooth part. The degree-one prime ideals of Z[zeta_q] are the
+pairs (p, z) with p = 1 (mod q) prime and z of order q in F_p, zeta -> z
+mod p; the defect of invariants is computed modulo them.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
+from itertools import chain, count
 from operator import index, sub
 
 
@@ -44,16 +55,52 @@ class OrderMismatchError(ValueError):
     """Two cyclotomic integers of different root orders were combined."""
 
 
+# Miller-Rabin with the first thirteen primes as bases is a proof below psi_13
+# (Sorenson & Webster 2017). Without 41 it is one only below psi_12 =
+# 318665857834031151167461, a composite that bases 2..37 pass.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
+
+# The prime ideals are searched downward from here, so each one adds about
+# 62 bits to the norm product of the certificate.
+_PRIME_CEILING = 1 << 62
+
+
+def _is_prime(p: int) -> bool:
+    # Strong probable prime to every base in _MR_BASES: a proof for p < _MR_BOUND.
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factors(q: int) -> list[int]:
     # Distinct primes dividing q, ascending, by trial division; each factor
     # found is divided out, so the loop stops at the square root of what is
-    # left.
+    # left, or as soon as what is left is a proven prime.
     out, f = [], 2
-    while f * f <= q:
+    done = q < _MR_BOUND and _is_prime(q)
+    while not done and f * f <= q:
         if q % f == 0:
             out.append(f)
             while q % f == 0:
                 q //= f
+            done = q < _MR_BOUND and _is_prime(q)
         f += 1
     return out + [q] if q > 1 else out
 
@@ -66,6 +113,26 @@ def euler_phi(q: int) -> int:
     for f in _prime_factors(q):
         phi = phi // f * (f - 1)
     return phi
+
+
+def _prime_ideals(q: int):
+    """Degree-one prime ideals of Z[zeta_q], as (p, z) with zeta -> z mod p.
+
+    p runs over primes = 1 (mod q) downward from _PRIME_CEILING (upward past
+    it if those run out), and z over g^k for one g of order q in F_p and every
+    unit k mod q; each pair is a distinct prime ideal of norm p.
+    """
+    factors = _prime_factors(q)
+    top = (_PRIME_CEILING - 1) // q
+    for k in chain(range(top, 0, -1), count(top + 1)):
+        p = k * q + 1
+        if not _is_prime(p):
+            continue
+        powers = (pow(c, (p - 1) // q, p) for c in count(2))
+        g = next(h for h in powers if all(pow(h, q // f, p) != 1 for f in factors))
+        for unit in range(q):
+            if math.gcd(unit, q) == 1:
+                yield p, pow(g, unit, p)
 
 
 @lru_cache(maxsize=None)
@@ -250,8 +317,10 @@ class CycInt:
         if exponent < 0:
             raise ValueError("negative powers are not defined in the ring")
         out = CycInt.from_int(self._q, 1)
-        for _ in range(exponent):
-            out = out * self
+        for bit in bin(exponent)[2:]:  # square and multiply, top bit first
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def conjugate(self) -> CycInt:

@@ -18,6 +18,8 @@ computed by Gaussian elimination modulo prime ideals p of norm p < 2^62. Each
 such rank is a lower bound; full rank needs one prime, and a lower rank r is
 certified once the ideals at rank r have a norm product above the Hadamard
 bound (2(n-1))^((r+1) phi(q)/2) on every (r+1)-minor. No tolerance is involved.
+The primes and the ideals come from cyclo (see its module docstring); this
+module keeps the elimination and the certificate.
 numpy is needed only by deformation_system, which builds the float system for
 comparison, and by eig_real_symmetric, which calls LAPACK.
 """
@@ -27,11 +29,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from itertools import chain, combinations, count, permutations
+from itertools import combinations, permutations
 from operator import lshift, mul
 from typing import TYPE_CHECKING
 
-from .cyclo import CycInt, _fold, _prime_factors, _unpack, _width, euler_phi
+from .cyclo import CycInt, _fold, _prime_ideals, _unpack, _width, euler_phi
 from .matrices import ButsonMatrix, Record, _divided_order, _own_order, is_hadamard_exact
 
 if TYPE_CHECKING:
@@ -356,57 +358,6 @@ def deformation_system(b: ButsonMatrix) -> np.ndarray:
             rows.append(coef.real)
             rows.append(coef.imag)
     return np.array(rows).reshape(-1, n * n)
-
-
-# Miller-Rabin with these bases is deterministic below 3.3e24, far above the
-# primes that _prime_ideals reaches.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# The prime ideals are searched downward from here, so each one adds about
-# 62 bits to the norm product of the certificate.
-_PRIME_CEILING = 1 << 62
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for a in _MR_BASES:
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_ideals(q: int):
-    """Degree-one prime ideals of Z[zeta_q], as (p, z) with zeta -> z mod p.
-
-    p runs over primes = 1 (mod q) downward from _PRIME_CEILING (upward past
-    it if those run out), and z over g^k for one g of order q in F_p and every
-    unit k mod q; each pair is a distinct prime ideal of norm p.
-    """
-    factors = _prime_factors(q)
-    top = (_PRIME_CEILING - 1) // q
-    for k in chain(range(top, 0, -1), count(top + 1)):
-        p = k * q + 1
-        if not _is_prime(p):
-            continue
-        powers = (pow(c, (p - 1) // q, p) for c in count(2))
-        g = next(h for h in powers if all(pow(h, q // f, p) != 1 for f in factors))
-        for unit in range(q):
-            if math.gcd(unit, q) == 1:
-                yield p, pow(g, unit, p)
 
 
 def _rank_mod(rows: list[list[int]], p: int) -> int:

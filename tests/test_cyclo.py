@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard6.cyclo import CycInt, OrderMismatchError, _reduce, cyclotomic_coeffs, euler_phi
+from hadamard6 import cyclo
+from hadamard6.cyclo import (
+    CycInt,
+    OrderMismatchError,
+    _is_prime,
+    _prime_factors,
+    _reduce,
+    cyclotomic_coeffs,
+    euler_phi,
+)
 
 W = CycInt.zeta(3)
 I4 = CycInt.zeta(4)
@@ -107,8 +116,63 @@ def test_euler_phi_matches_gcd_count():
     # orders return at once; a count over all q residues would never finish.
     assert euler_phi(2 ** 61) == 2 ** 60
     assert euler_phi(6 ** 20) == 6 ** 20 // 3
+    # Factoring stops once what is left is a proven prime, so prime orders
+    # and a prime times a small part return at once too.
+    assert euler_phi(2 ** 62 - 57) == 2 ** 62 - 58
+    assert euler_phi(10 ** 14 + 31) == 10 ** 14 + 30
+    assert euler_phi(2 * (2 ** 61 - 1)) == 2 ** 61 - 2
     with pytest.raises(ValueError):
         euler_phi(0)
+
+
+# A014233: psi_k, the least odd composite that is a strong probable prime to
+# each of the first k primes as bases, k = 1..13.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def test_miller_rabin_bound_is_psi_13(monkeypatch):
+    # Each psi_k passes the first k bases, so the bound of the thirteen bases
+    # is psi_13 and no more.
+    assert len(cyclo._MR_BASES) == 13 and cyclo._MR_BOUND == PSI[-1]
+    for k, psi in enumerate(PSI, 1):
+        monkeypatch.setattr(cyclo, "_MR_BASES", cyclo._MR_BASES[:k])
+        assert _is_prime(psi), k
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    local = random.Random(21)
+    values = [local.randrange(2 ** 64) for _ in range(2000)]
+    values += [local.randrange(2 ** 63) | 1 for _ in range(2000)]
+    values += [sympy.nextprime(local.randrange(2 ** 64)) for _ in range(200)]
+    values += [sympy.nextprime(local.randrange(2 ** 32)) * sympy.nextprime(local.randrange(2 ** 32))
+               for _ in range(200)]
+    values += PSI[:-1]
+    for n in values:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_prime_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    local = random.Random(22)
+    for n in [local.randint(1, 10 ** 9) for _ in range(3000)]:
+        assert _prime_factors(n) == sympy.primefactors(n), n
+
+
+def test_prime_factors_test_primality_only_below_the_bound(monkeypatch):
+    seen = []
+
+    def spy(p):
+        seen.append(p)
+        return _is_prime(p)
+
+    monkeypatch.setattr(cyclo, "_is_prime", spy)
+    assert _prime_factors(3 * 2 ** 90) == [2, 3]
+    assert _prime_factors(5 ** 40 * (2 ** 61 - 1)) == [5, 2 ** 61 - 1]
+    assert _prime_factors(2 ** 62 - 57) == [2 ** 62 - 57]
+    assert seen and max(seen) < cyclo._MR_BOUND
 
 
 def test_coeff_length_matches_phi():
@@ -168,6 +232,21 @@ def test_product_matches_schoolbook(q):
         for exponent in range(4):
             assert a ** exponent == power, (q, a, exponent)
             power = _schoolbook(power, a)
+    # Square and multiply against one product per unit of the exponent, on
+    # the elements whose powers stay short: 0 and zeta^k to 1000, the +-1
+    # vector to 37.
+    for a, last in ((elems[0], 1000), (elems[1], 1000), (elems[3], 37)):
+        power = CycInt.from_int(q, 1)
+        for exponent in range(last + 1):
+            if exponent in (37, 1000):
+                assert a ** exponent == power, (q, a, exponent)
+            power = power * a
+
+
+def test_power_by_squaring():
+    assert CycInt.zeta(7) ** 10 ** 18 == CycInt.zeta(7, 10 ** 18 % 7)
+    with pytest.raises(ValueError):
+        CycInt.zeta(7) ** -1
 
 
 def test_conjugate_examples():

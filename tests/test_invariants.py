@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hadamard6 import catalog
-from hadamard6.cyclo import CycInt, _pack, _unpack, group_ring_mul
+from hadamard6.cyclo import CycInt, _is_prime, _pack, _prime_ideals, _unpack, group_ring_mul
 from hadamard6.invariants import (
     CLOSED_FORM_A2A,
     REFERENCE_SPECTRA,
@@ -18,8 +18,6 @@ from hadamard6.invariants import (
     _certify,
     _deformation_exponents,
     _horner,
-    _is_prime,
-    _prime_ideals,
     _rank_mod,
     charpoly_exact,
     charpoly_group_ring,
@@ -587,6 +585,7 @@ def test_is_prime_small_values():
     assert [p for p in range(60) if _is_prime(p)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert not _is_prime(318665857834031151167461)  # strong pseudoprime to bases 2..37
 
 
 def test_defect_certificate_fields():
