@@ -171,7 +171,7 @@ def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdic
     order q, with sigma[k] among the rows set in colours[k]."""
     n, q = a.n, a.q
     target = _dephased_exponents(a.exponents, q)
-    by_row, by_pair = _profiles(target), _profiles(target, min(1, n - 1), q)
+    by_row, by_pair = _profiles(target, 0, q), _profiles(target, min(1, n - 1), q)
     target_cols = list(zip(*target[1:]))
     want = sorted(target_cols)
     limit = SEARCH_BUDGET
@@ -259,15 +259,14 @@ def _exact(rows, sigma, hits: int, target_cols, want) -> tuple[int, ...] | None:
     return None
 
 
-def _profiles(target, k: int | None = None, q: int = 0) -> dict[tuple, list[int]]:
-    """Target rows i keyed by their exponent multiset or, given row k, by the
-    multiset of column pairs of rows (k, i), each pair (x, y) encoded as
-    x*q + y."""
-    scaled = None if k is None else [x * q for x in target[k]]
+def _profiles(target, k: int, q: int) -> dict[tuple, list[int]]:
+    """Target rows i keyed by the multiset of column pairs of rows (k, i),
+    each pair (x, y) encoded as x*q + y. Row 0 of a dephased target is all
+    zeros, so with k = 0 the key is the exponent multiset of row i."""
+    scaled = [x * q for x in target[k]]
     found: dict[tuple, list[int]] = {}
     for i, row in enumerate(target):
-        key = row if scaled is None else map(add, scaled, row)
-        found.setdefault(tuple(sorted(key)), []).append(i)
+        found.setdefault(tuple(sorted(map(add, scaled, row))), []).append(i)
     return found
 
 

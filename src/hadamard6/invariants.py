@@ -59,6 +59,8 @@ class CharPoly(Record):
     def __post_init__(self) -> None:
         if len(self.e) != self.n + 1:
             raise ValueError("need one coefficient per degree 0..n")
+        if not all(isinstance(c, CycInt) and c.q == self.q for c in self.e):
+            raise ValueError("every coefficient must be a CycInt of root order q")
         if self.e[-1] != 1:
             raise ValueError("characteristic polynomial must be monic")
 

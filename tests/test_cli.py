@@ -19,6 +19,19 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_fresh(args, timeout, stdin=None):
+    """Run python with args in a new interpreter that imports this hadamard6."""
+    src = os.path.dirname(os.path.dirname(hadamard6.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], input=stdin, env=env, capture_output=True,
+                          text=True, check=False, timeout=timeout)
+
+
+def complex_grid(b):
+    """The entries of b as Python complex numbers, built without numpy."""
+    return [[cmath.exp(2j * cmath.pi * e / b.q) for e in row] for row in b.exponents]
+
+
 def test_catalog_list(capsys):
     code, out = run(capsys, "catalog", "list")
     assert code == 0
@@ -71,7 +84,7 @@ def test_verify_stdin_all_ones(capsys, monkeypatch):
 
 def test_verify_complex_file(capsys, tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix(catalog.get("M6").to_complex()))
+    path.write_text(format_matrix(complex_grid(catalog.get("M6"))))
     code, out = run(capsys, "verify", str(path))
     assert code == 0
     assert "numeric" in out
@@ -118,18 +131,60 @@ def test_root_order_too_large_exits_2(capsys, tmp_path):
     assert run(capsys, "equiv", "standard", str(path), str(path)) == (2, "")
 
 
-@pytest.mark.parametrize("command, out", [("verify", "hadamard: true (exact)\n"),
-                                          ("defect", "defect: 0\n")])
-def test_million_root_order_answers(command, out):
-    # The grid divides back to its own order 2 before any ring arithmetic, so
-    # no vector of length 10**6 is reduced. A fresh interpreter, so the time
-    # includes the import and no state left by another test.
-    src = os.path.dirname(os.path.dirname(hadamard6.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "hadamard6.cli", command, "-"],
-                          input="BH 1000000 2\n0 0\n0 500000\n", env=env,
-                          capture_output=True, text=True, check=False, timeout=30)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+def f6_over_30030(step):
+    """F6 written over q = 30030, with entry (1, 1) moved by step."""
+    grid = [[5005 * x for x in row] for row in catalog.get("F6").exponents]
+    grid[1][1] += step
+    return ButsonMatrix(30030, grid)
+
+
+# q1e6 and f6_30030 divide back to their own order (2 and 6) before any ring
+# arithmetic, and charpoly lifts the coefficients to the order as written.
+# q1e6_coprime has an entry coprime to q, so charpoly's packed loop runs at
+# q = 10**6. f6_moved keeps q = 30030 throughout, so every ring element is
+# reduced modulo Phi_30030; it is not Hadamard. q2_62 is checked at q = 2;
+# at the full order it would allocate 2**62 counters.
+LARGE_ORDER_GRIDS = {
+    "q1e6": "BH 1000000 2\n0 0\n0 500000\n",
+    "q1e6_coprime": "BH 1000000 2\n0 0\n0 1\n",
+    "f6_30030": format_matrix(f6_over_30030(0)),
+    "f6_moved": format_matrix(f6_over_30030(1)),
+    "q2_62": "BH 4611686018427387904 2\n0 0\n0 2305843009213693952\n",
+}
+HADAMARD, NOT_HADAMARD = "hadamard: true (exact)\n", "hadamard: false (exact)\n"
+# (subcommand, grid, exit code, stdout or None where it is not pinned here)
+LARGE_ORDER_CASES = [
+    ("verify", "q1e6", 0, HADAMARD),
+    ("verify", "q1e6_coprime", 1, NOT_HADAMARD),
+    ("defect", "q1e6", 0, "defect: 0\n"),
+    ("charpoly", "q1e6", 0, None),
+    ("charpoly", "q1e6_coprime", 0, None),
+    ("charpoly", "f6_30030", 0, None),
+    ("charpoly", "f6_moved", 0, None),
+    ("spectrum", "q1e6", 0, None),
+    ("spectrum", "q1e6_coprime", 0, None),
+    ("spectrum", "f6_30030", 0, None),
+    ("spectrum", "f6_moved", 0, None),
+    ("verify", "f6_moved", 1, NOT_HADAMARD),
+    ("defect", "f6_moved", 2, ""),
+    ("verify", "q2_62", 0, HADAMARD),
+    ("defect", "q2_62", 0, "defect: 0\n"),
+]
+
+
+@pytest.mark.parametrize("command, grid, code, out", LARGE_ORDER_CASES,
+                         ids=[f"{command}-{grid}" for command, grid, *_ in LARGE_ORDER_CASES])
+def test_large_root_orders_answer_in_a_fresh_interpreter(command, grid, code, out):
+    # A fresh interpreter, so the 30 s bound includes the import and no state
+    # left by another test.
+    proc = run_fresh(["-m", "hadamard6.cli", command, "-"], timeout=30,
+                     stdin=LARGE_ORDER_GRIDS[grid])
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == code
+    if code < 2:
+        assert proc.stderr == ""
+    if out is not None:
+        assert proc.stdout == out
 
 
 def test_charpoly_json_matches_library(capsys):
@@ -144,7 +199,7 @@ def test_charpoly_json_matches_library(capsys):
 
 def test_charpoly_rejects_complex_input(capsys, tmp_path):
     path = tmp_path / "c.txt"
-    path.write_text(format_matrix(catalog.get("M6").to_complex()))
+    path.write_text(format_matrix(complex_grid(catalog.get("M6"))))
     assert run(capsys, "charpoly", str(path))[0] == 2
 
 
@@ -215,7 +270,7 @@ def test_defect_json_names_its_certificate(capsys):
 ], ids=["spectrum-nan", "verify-complex-nan"])
 def test_unusable_tolerance_is_refused(capsys, tmp_path, argv, code):
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix(catalog.get("M6").to_complex()))
+    path.write_text(format_matrix(complex_grid(catalog.get("M6"))))
     argv = [str(path) if a == "COMPLEX" else a for a in argv]
     assert run(capsys, *argv) == (code, "")
 
@@ -224,10 +279,10 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     # A fresh interpreter: pytest itself has numpy loaded already.
     bh = tmp_path / "bh.txt"
     bh.write_text(format_matrix(catalog.get("M61")))
-    m6 = catalog.get("M6").to_complex()
+    m6 = complex_grid(catalog.get("M6"))
     cx = tmp_path / "c.txt"
     cx.write_text(format_matrix(m6))
-    m6[2, 3] *= cmath.exp(0.1j)
+    m6[2][3] *= cmath.exp(0.1j)
     cx_off = tmp_path / "c_off.txt"
     cx_off.write_text(format_matrix(m6))
     # numpy is the heaviest import; dataclasses pulls in inspect, ast and dis
@@ -242,12 +297,13 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
         from hadamard6 import cli
         for argv in (["catalog", "list"], ["verify", "A1"], ["charpoly", "A10"],
                      ["spectrum", "M61"], ["dephase", "A10"],
-                     ["equiv", "unitary", "A01", "A02"], ["verify", sys.argv[1]],
+                     ["equiv", "unitary", "A01", "A03"], ["verify", sys.argv[1]],
                      ["defect", "A1"], ["defect", "F6"], ["report", "--json"]):
-            cli.main(argv)
+            assert cli.main(argv) == 0, argv
             check(argv)
         for argv, code in ((["equiv", "standard", "M6", "M61"], 0),
                            (["equiv", "standard", "A1", sys.argv[1]], 1),
+                           (["equiv", "unitary", "A01", "A02"], 1),
                            (["verify", sys.argv[2]], 0), (["verify", sys.argv[3]], 1),
                            (["spectrum", sys.argv[2]], 2)):
             assert cli.main(argv) == code, argv
@@ -261,10 +317,7 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
         assert haagerup_set(m6) == haagerup_set(m61)
         check("haagerup_set")
     """)
-    src = os.path.dirname(os.path.dirname(hadamard6.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script, str(bh), str(cx), str(cx_off)], env=env,
-                          capture_output=True, text=True, check=False, timeout=60)
+    proc = run_fresh(["-c", script, str(bh), str(cx), str(cx_off)], timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "defect: 0" in lines and "defect: 4" in lines
@@ -343,7 +396,6 @@ def test_report_json_matches_golden_file(capsys):
 def test_no_library_path_builds_a_dense_cyclotomic_polynomial(monkeypatch, capsys):
     # Reduction runs on the binomial factors of Phi_q; the dense coefficients
     # are built only for callers of cyclotomic_coeffs.
-    np = pytest.importorskip("numpy")
     from hadamard6 import cyclo
     from hadamard6.invariants import charpoly_exact
 
@@ -355,13 +407,12 @@ def test_no_library_path_builds_a_dense_cyclotomic_polynomial(monkeypatch, capsy
     code, out = run(capsys, "report", "--json")  # every claim of cli.build_claims()
     assert code == 0
     assert out.encode() == Path(__file__).with_name("report_golden.json").read_bytes()
-    # F6 over q = 30030 with entry (1, 1) moved by one step: the grid's own
-    # order stays 30030, so every coefficient is reduced modulo Phi_30030.
-    grid = [[5005 * x for x in row] for row in catalog.get("F6").exponents]
-    grid[1][1] += 1
-    b = ButsonMatrix(30030, grid)
+    # The grid's own order stays 30030, so every coefficient is reduced
+    # modulo Phi_30030.
+    b = f6_over_30030(1)
     p = charpoly_exact(b)
     assert p.q == 30030 and p.e[6] == 1
+    np = pytest.importorskip("numpy")
     numeric = np.poly(np.array(b.to_complex()))[::-1]
     assert max(abs(c.embed() - v) for c, v in zip(p.e, numeric)) < 1e-9
 

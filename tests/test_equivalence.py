@@ -443,7 +443,7 @@ def test_one_changed_row_is_an_exhaustive_miss(reference_standard):
 
 def full_row_mask_pivots(a, b):
     """Pivots p of b for which masks[i][s] is full for all i >= 1 and s != p."""
-    by_row = equivalence._profiles(dephase(a)[0].exponents)
+    by_row = equivalence._profiles(dephase(a)[0].exponents, 0, a.q)
     n, full = a.n, (1 << a.n) - 1
     pivots = []
     for p in range(n):

@@ -339,6 +339,8 @@ def test_scaled_poly_requires_monic():
         CharPoly(1, 3, (one, two))
     with pytest.raises(ValueError):
         CharPoly(2, 3, (two, one))  # one coefficient short of degree 2
+    with pytest.raises(ValueError):
+        CharPoly(1, 3, (CycInt(4, [0, 1]), CycInt(4, [1])))  # coefficients of order 4
 
 
 # --- numeric spectra ---------------------------------------------------------
