@@ -29,7 +29,11 @@ B = 8 ceil((bitlen(bound) + 2)/8) keeps every digit below X/4; the balanced
 residue of the result is then sum_i c_i X^i, and its digits are read from
 the bytes in linear time. CycInt multiplies by one such product, its second
 factor padded with zeros so that nothing wraps, and reduces the result
-modulo Phi_q.
+modulo Phi_q. The second user is invariants.row_keys: at q <= n^2 the pair
+multiset of two rows with differences d is the product of sum_j X^d_j and
+sum_j X^-d_j, folded once; its digits are nonnegative counts, at most n^4
+in any sum of keys, so the folded integer is itself the canonical image and
+two keys are equal exactly when their multisets are.
 
 The arithmetic of Z behind these rings lives here too. Primality is
 Miller-Rabin with the thirteen primes 2..41 as bases, which is a proof below

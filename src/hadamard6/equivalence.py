@@ -23,14 +23,16 @@ often, row masks filter nothing; pair masks can, except at q = 2.
 With the prescreen on, rows are also coloured by their keys
 (invariants.row_keys): the Haagerup pair multisets of each row with every
 other row, which a witness carries from row sigma(k) of b onto row k of a.
-Grids whose key multisets differ are a miss without a walk; the keys also
-sum to the Haagerup sets (invariants.haagerup_set), and the miss counts 0
-row permutations where those differ and all n! where they agree. Otherwise
-the walk tries as sigma(k) only rows of b with the key of row k, so pivots
-of another colour build no masks. With the prescreen off the walk runs on
-the masks alone, as described above. classify lifts the batch to one root
-order, keys each matrix once and searches only pairs with equal key
-multisets, with the same colours.
+At q <= n^2 each multiset is one packed integer, so keys and their sums
+compare as integers; both grids are keyed at one (n, q), which is all the
+keys need to compare. Grids whose key multisets differ are a miss without a
+walk; the keys also sum to the Haagerup sets (invariants.haagerup_set), and
+the miss counts 0 row permutations where those differ and all n! where they
+agree. Otherwise the walk tries as sigma(k) only rows of b with the key of
+row k, so pivots of another colour build no masks. With the prescreen off
+the walk runs on the masks alone, as described above. classify lifts the
+batch to one root order, keys each matrix once and searches only pairs with
+equal key multisets, with the same colours.
 
 Each search is bounded by SEARCH_BUDGET nodes, the exact tests at the
 leaves included; a search that spends it raises SearchBudgetExceeded
@@ -153,7 +155,7 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
         return _search(a, b, [(1 << n) - 1] * n)
     ka, kb = row_keys(a), row_keys(b)
     if sorted(ka) != sorted(kb):
-        refuted = _haagerup_sum(n, ka) != _haagerup_sum(n, kb)
+        refuted = _haagerup_sum(n, a.q, ka) != _haagerup_sum(n, a.q, kb)
         return EquivVerdict(False, None, 0 if refuted else math.factorial(n))
     return _search(a, b, _colours(ka, kb))
 

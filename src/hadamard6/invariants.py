@@ -30,7 +30,7 @@ import cmath
 import math
 from collections import Counter
 from itertools import combinations, permutations
-from operator import lshift, mul
+from operator import lshift, mul, sub
 from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, _fold, _prime_ideals, _unpack, _width, euler_phi
@@ -280,45 +280,77 @@ def spectrum_distance(spec: Spectrum, reference) -> float:
     return best
 
 
+def _packed_keys(n: int, q: int) -> bool:
+    # Dense grids pack their pair multisets (see row_keys).
+    return q <= n * n
+
+
 def row_keys(b: ButsonMatrix) -> list[tuple]:
     """Each row's key: the sorted pair multisets of its row pairs.
 
     The pair multiset of rows i and k is the count of d_j - d_l mod q over
-    all columns j and l, d = e_i - e_k, as sorted (value, count) pairs. Rows
-    (k, i) give -d and the same multiset, and permuting d keeps it, so the
-    row pairs are grouped by their sorted differences and each group's
-    multiset is counted once. Row i's key holds n - 1 multisets, and every
-    pair sits in the keys of both its rows. A standard equivalence
+    all columns j and l, d = e_i - e_k. Row i's key holds n - 1 multisets,
+    and every pair sits in the keys of both its rows. A standard equivalence
     D1 P1 b P2 D2 keeps every pair multiset, so row i of the result has the
     key of row P1(i) of b: the keys are a vertex invariant of the rows
-    (McKay & Piperno 2014) that refines the Haagerup set. Keys of two grids
-    compare only at one root order q.
+    (McKay & Piperno 2014) that refines the Haagerup set.
+
+    A dense grid, q <= n^2, packs each multiset into one integer, its image
+    in the group ring Z[x]/(x^q - 1) under x -> X = 2^B (see the cyclo
+    module docstring): the product of sum_j X^d_j and sum_j X^-d_j, folded
+    once, whose base-X digits are the counts. B is wide enough for n^4, so
+    the sum of all keys decodes too (_haagerup_sum). A sparse grid keeps the
+    multisets as sorted (value, count) pairs, since a packed key is Bq bits
+    wide: rows (k, i) give -d and the same multiset, and permuting d keeps
+    it, so its row pairs are grouped by their sorted differences and each
+    group is counted once. Packed keys ran 3.8, 2.9 and 1.7 times as fast as
+    the pairs at n = 6 for q = 30, 64 and 128, and 0.82 times at q = 256; at
+    n = 16, 2.4 and 1.2 times for q = 256 and 512, and 0.59 times at
+    q = 1024 (2-core x86-64, Python 3.11). So the crossover lies between
+    2n^2 and 7n^2, above the rule. Keys of two grids compare only at one
+    (n, q), where both are packed or neither is.
     """
-    q, e = b.q, b.exponents
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for i, k in combinations(range(len(e)), 2):
-        groups.setdefault(tuple(sorted([(x - y) % q for x, y in zip(e[i], e[k])])), []).append((i, k))
-    keys: list[list[tuple]] = [[] for _ in range(b.n)]
-    for d, pairs in groups.items():
-        counts: dict[int, int] = {}
-        for x in d:  # cheaper than Counter(d) for rows this short
-            counts[x] = counts.get(x, 0) + 1
-        found: dict[int, int] = {}
-        for dj, cj in counts.items():
-            for dl, cl in counts.items():
-                v = (dj - dl) % q
-                found[v] = found.get(v, 0) + cj * cl
-        items = tuple(sorted(found.items()))
-        for i, k in pairs:
-            keys[i].append(items)
-            keys[k].append(items)
+    n, q, e = b.n, b.q, b.exponents
+    keys: list[list] = [[] for _ in range(n)]
+    if _packed_keys(n, q):
+        w = _width(n ** 4)
+        bits = 8 * w * q
+        mask = (1 << bits) - 1
+        # power[d] = X^(d mod q) for -q < d < q, negative d by Python's indexing.
+        at = [1 << 8 * w * d for d in range(q)].__getitem__
+        for i, k in combinations(range(n), 2):
+            key = _fold(sum(map(at, map(sub, e[i], e[k]))) * sum(map(at, map(sub, e[k], e[i]))),
+                        bits, mask)
+            keys[i].append(key)
+            keys[k].append(key)
+    else:
+        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for i, k in combinations(range(n), 2):
+            d = tuple(sorted([(x - y) % q for x, y in zip(e[i], e[k])]))
+            groups.setdefault(d, []).append((i, k))
+        for d, pairs in groups.items():
+            counts: dict[int, int] = {}
+            for x in d:  # cheaper than Counter(d) for rows this short
+                counts[x] = counts.get(x, 0) + 1
+            found: dict[int, int] = {}
+            for dj, cj in counts.items():
+                for dl, cl in counts.items():
+                    v = (dj - dl) % q
+                    found[v] = found.get(v, 0) + cj * cl
+            items = tuple(sorted(found.items()))
+            for i, k in pairs:
+                keys[i].append(items)
+                keys[k].append(items)
     return [tuple(sorted(key)) for key in keys]
 
 
-def _haagerup_sum(n: int, keys: list[tuple]) -> Counter:
+def _haagerup_sum(n: int, q: int, keys: list[tuple]) -> int | Counter:
     """n^3 zeros, from the n row pairs i = k, plus every pair multiset in
-    the row keys. Each pair (i, k) sits in two keys, once for (i, k) and
-    once for (k, i)."""
+    the row keys of an n x n grid at order q. Each pair (i, k) sits in two
+    keys, once for (i, k) and once for (k, i). Packed keys give a packed
+    sum: no digit passes n^4, so nothing carries."""
+    if _packed_keys(n, q):
+        return n ** 3 + sum(map(sum, keys))
     out = Counter()
     out[0] = n ** 3
     for key in keys:
@@ -333,9 +365,14 @@ def haagerup_set(b: ButsonMatrix) -> Counter:
 
     For rows i and k the value is d_j - d_l with d = e_i - e_k, so the set
     is the sum of the pair multisets in the row keys (see row_keys), and
-    each of the n pairs i = k gives n^2 zeros.
+    each of the n pairs i = k gives n^2 zeros. For a dense grid that sum is
+    one packed integer, decoded here; it holds only nonzero counts.
     """
-    return _haagerup_sum(b.n, row_keys(b))
+    n, q = b.n, b.q
+    total = _haagerup_sum(n, q, row_keys(b))
+    if not _packed_keys(n, q):
+        return total
+    return Counter({v: c for v, c in enumerate(_unpack(total, q, _width(n ** 4))) if c})
 
 
 def deformation_system(b: ButsonMatrix) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import hadamard6
 from hadamard6 import catalog, cli, equivalence
-from hadamard6.matrices import ButsonMatrix, format_matrix
+from hadamard6.matrices import ButsonMatrix, PhaseVector, format_matrix, rephase
 
 
 def run(capsys, *argv):
@@ -324,21 +324,40 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     assert "hadamard: true (numeric)" in lines and "hadamard: false (numeric)" in lines
 
 
-def test_equiv_standard_exit_codes_and_witness(capsys):
+def test_equiv_standard_exit_codes_and_witness(capsys, tmp_path):
     code, out = run(capsys, "equiv", "standard", "M6", "M61", "--json")
     assert code == 0
     payload = json.loads(out)["equiv"]
     assert payload["equivalent"] is True
     w = payload["witness"]
     from hadamard6.equivalence import Witness, apply_witness
-    from hadamard6.matrices import PhaseVector
     witness = Witness(tuple(w["row_perm"]), tuple(w["col_perm"]),
                       PhaseVector(w["q"], tuple(w["left"])),
                       PhaseVector(w["q"], tuple(w["right"])))
     assert apply_witness(witness, catalog.get("M61")) == catalog.get("M6")
 
-    code, _ = run(capsys, "equiv", "standard", "A1", "F6")
+    # A1 and F6 have different Haagerup sets, a miss without a search.
+    code, out = run(capsys, "equiv", "standard", "A1", "F6", "--json")
     assert code == 1
+    assert json.loads(out)["equiv"]["row_perms_examined"] == 0
+
+    # B against B^T at q = 3 <= n^2, where the row keys are packed: equal
+    # Haagerup sets but row keys that differ, a miss of all 6! permutations.
+    b = ButsonMatrix(3, [[0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 2, 1], [0, 1, 1, 2, 1, 0],
+                         [0, 2, 0, 1, 1, 0], [0, 0, 2, 1, 0, 0], [0, 0, 2, 1, 1, 0]])
+    # A hit at q = 2^62 > n^2, where the row keys stay (value, count) pairs.
+    q = 1 << 62
+    x = ButsonMatrix(q, [[i * j * j + 5 * i for j in range(6)] for i in range(6)])
+    y = rephase(x.permuted([3, 0, 5, 1, 4, 2], [2, 4, 0, 5, 1, 3]),
+                PhaseVector(q, (q - 1, 7, q - 3, 0, 2, 1 << 61)),
+                PhaseVector(q, (1, q - 5, 0, 3, q - 2, 11)))
+    for first, second, code, examined in ((b, ButsonMatrix(3, list(zip(*b.exponents))), 1, 720),
+                                          (x, y, 0, 188)):
+        paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
+        for path, m in zip(paths, (first, second)):
+            path.write_text(format_matrix(m))
+        got, out = run(capsys, "equiv", "standard", *map(str, paths), "--json")
+        assert (got, json.loads(out)["equiv"]["row_perms_examined"]) == (code, examined)
 
 
 def test_equiv_standard_out_of_budget_exits_3(capsys, monkeypatch):

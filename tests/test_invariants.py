@@ -17,6 +17,7 @@ from hadamard6.invariants import (
     ConvergenceError,
     _certify,
     _deformation_exponents,
+    _haagerup_sum,
     _horner,
     _rank_mod,
     charpoly_exact,
@@ -51,12 +52,12 @@ def sylvester(k):
     return ButsonMatrix(2, [[bin(i & j).count("1") % 2 for j in range(n)] for i in range(n)])
 
 
-def random_standard_transform(b):
+def random_standard_transform(b, r=rng):
     rp, cp = list(range(b.n)), list(range(b.n))
-    rng.shuffle(rp)
-    rng.shuffle(cp)
-    left = PhaseVector(b.q, tuple(rng.randrange(b.q) for _ in range(b.n)))
-    right = PhaseVector(b.q, tuple(rng.randrange(b.q) for _ in range(b.n)))
+    r.shuffle(rp)
+    r.shuffle(cp)
+    left = PhaseVector(b.q, tuple(r.randrange(b.q) for _ in range(b.n)))
+    right = PhaseVector(b.q, tuple(r.randrange(b.q) for _ in range(b.n)))
     return rephase(b.permuted(rp, cp), left, right)
 
 
@@ -448,6 +449,47 @@ def test_row_keys_follow_the_row_permutation():
             right = PhaseVector(b.q, tuple(r.randrange(b.q) for _ in range(b.n)))
             moved = row_keys(rephase(b.permuted(rp, cp), left, right))
             assert moved == [keys[rp[i]] for i in range(b.n)], b
+
+
+def row_keys_reference(b):
+    """Brute-force oracle: row i's sorted list of the Counters of d_j - d_l
+    mod q, d = e_i - e_k, one per other row k, each as sorted items."""
+    e, n, q = b.exponents, b.n, b.q
+
+    def multiset(i, k):
+        d = [(x - y) % q for x, y in zip(e[i], e[k])]
+        return tuple(sorted(Counter((dj - dl) % q for dj in d for dl in d).items()))
+
+    return [sorted(multiset(i, k) for k in range(n) if k != i) for i in range(n)]
+
+
+def test_row_keys_match_brute_force_oracle(haagerup_reference):
+    # Packed keys (q <= n^2) and (value, count) keys (q > n^2) must sort
+    # into the same equality classes as the oracle, within one grid and
+    # across two, and so must their multisets and their Haagerup sums.
+    r = random.Random(2323)
+
+    def equal(keys):
+        return [[x == y for y in keys] for x in keys]
+
+    for n in range(1, 8):
+        for q in sorted({1, 2, 3, n * n - 1, n * n, n * n + 1, 1 << 62} - {0}):
+            for trial in range(4):
+                x = ButsonMatrix(q, [[r.randrange(q) for _ in range(n)] for _ in range(n)])
+                if trial == 0:
+                    y = random_standard_transform(x, r)
+                elif trial == 1:  # one entry changed: some rows keep their keys
+                    rows = [list(row) for row in x.exponents]
+                    rows[r.randrange(n)][r.randrange(n)] = r.randrange(q)
+                    y = ButsonMatrix(q, rows)
+                else:
+                    y = ButsonMatrix(q, [[r.randrange(q) for _ in range(n)] for _ in range(n)])
+                kx, ky = row_keys(x), row_keys(y)
+                ox, oy = row_keys_reference(x), row_keys_reference(y)
+                assert equal(kx + ky) == equal(ox + oy), (n, q)
+                assert (sorted(kx) == sorted(ky)) == (sorted(ox) == sorted(oy)), (n, q)
+                assert ((_haagerup_sum(n, q, kx) == _haagerup_sum(n, q, ky))
+                        == (haagerup_reference(x) == haagerup_reference(y))), (n, q)
 
 
 def test_haagerup_rank_one_pattern_is_trivial():
