@@ -316,7 +316,7 @@ def row_keys(b: ButsonMatrix) -> list[tuple]:
         w = _width(n ** 4)
         bits = 8 * w * q
         mask = (1 << bits) - 1
-        # power[d] = X^(d mod q) for -q < d < q, negative d by Python's indexing.
+        # at(d) = X^(d mod q) for -q < d < q, a negative d by Python's indexing.
         at = [1 << 8 * w * d for d in range(q)].__getitem__
         for i, k in combinations(range(n), 2):
             key = _fold(sum(map(at, map(sub, e[i], e[k]))) * sum(map(at, map(sub, e[k], e[i]))),
