@@ -18,8 +18,8 @@ from . import catalog
 from .cyclo import group_ring_mul
 from .equivalence import (
     SearchBudgetExceeded,
+    _partition,
     apply_witness,
-    classify,
     standard_equivalent,
     unitary_equivalent,
 )
@@ -66,33 +66,29 @@ def _f(x: float) -> str:
     return f"{float(x):.15g}"
 
 
-def _resolve(source: str) -> ButsonMatrix | tuple[tuple[complex, ...], ...]:
+def _resolve(source: str) -> tuple[str, ButsonMatrix | tuple[tuple[complex, ...], ...]]:
+    # The name the JSON output reports, without a "catalog:" prefix, and the matrix.
+    name = source.removeprefix("catalog:")
     if source == "-":
-        return parse_matrix(sys.stdin.read())
-    if source.startswith("catalog:"):
-        return catalog.get(source[len("catalog:"):])
+        return name, parse_matrix(sys.stdin.read())
+    if name != source:
+        return name, catalog.get(name)
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
-            return parse_matrix(fh.read())
+            return name, parse_matrix(fh.read())
     try:
-        return catalog.get(source)
+        return name, catalog.get(source)
     except KeyError:
         raise ValueError(
             f"{source!r} is neither a readable file nor a catalog name"
         ) from None
 
 
-def _resolve_exact(source: str) -> ButsonMatrix:
-    m = _resolve(source)
+def _resolve_exact(source: str) -> tuple[str, ButsonMatrix]:
+    name, m = _resolve(source)
     if not isinstance(m, ButsonMatrix):
         raise ValueError("this command needs an exact BH matrix, not a complex one")
-    return m
-
-
-def _name_of(source: str) -> str:
-    if source.startswith("catalog:"):
-        return source[len("catalog:"):]
-    return source
+    return name, m
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -118,22 +114,22 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    m = _resolve(args.matrix)
+    name, m = _resolve(args.matrix)
     if isinstance(m, ButsonMatrix):
         ok = is_hadamard_exact(m)
         method = "exact"
     else:
         ok = is_hadamard_numeric(m, args.tol)
         method = "numeric"
-    payload = {"name": _name_of(args.matrix), "hadamard": ok, "method": method}
+    payload = {"name": name, "hadamard": ok, "method": method}
     _emit(args, payload, f"hadamard: {str(ok).lower()} ({method})")
     return 0 if ok else 1
 
 
 def cmd_charpoly(args) -> int:
-    b = _resolve_exact(args.matrix)
+    name, b = _resolve_exact(args.matrix)
     p = charpoly_exact(b)
-    payload = {"name": _name_of(args.matrix), "q": b.q, "n": b.n,
+    payload = {"name": name, "q": b.q, "n": b.n,
                "charpoly": {"e": [list(c.coeffs) for c in p.e]}}
     lines = [f"scaled charpoly over the order-{b.q} ring "
              f"(x^k coefficient = e_k * {b.n}^(-({b.n}-k)/2)):"]
@@ -144,10 +140,10 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    b = _resolve_exact(args.matrix)
+    name, b = _resolve_exact(args.matrix)
     p = charpoly_exact(b)
     spec = spectrum_numeric(p, tol=args.tol)
-    payload = {"name": _name_of(args.matrix), "q": b.q, "n": b.n,
+    payload = {"name": name, "q": b.q, "n": b.n,
                "spectrum": [
                    {"re": float(_f(v.real)), "im": float(_f(v.imag)), "mult": m}
                    for v, m in spec.pairs
@@ -158,9 +154,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_dephase(args) -> int:
-    b = _resolve_exact(args.matrix)
+    name, b = _resolve_exact(args.matrix)
     d, left, right = dephase(b)
-    payload = {"name": _name_of(args.matrix), "q": b.q, "n": b.n,
+    payload = {"name": name, "q": b.q, "n": b.n,
                "matrix": [list(r) for r in d.exponents],
                "left": list(left.exps), "right": list(right.exps)}
     plain = format_matrix(d) + \
@@ -171,9 +167,9 @@ def cmd_dephase(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    b = _resolve_exact(args.matrix)
+    name, b = _resolve_exact(args.matrix)
     cert = defect_certificate(b)
-    payload = {"name": _name_of(args.matrix), "q": b.q, "n": b.n, "defect": cert.defect,
+    payload = {"name": name, "q": b.q, "n": b.n, "defect": cert.defect,
                "rank": cert.rank, "primes": cert.primes}
     _emit(args, payload, f"defect: {cert.defect}")
     return 0
@@ -185,8 +181,8 @@ def _witness_payload(w) -> dict:
 
 
 def cmd_equiv(args) -> int:
-    b1 = _resolve_exact(args.matrix1)
-    b2 = _resolve_exact(args.matrix2)
+    _, b1 = _resolve_exact(args.matrix1)
+    _, b2 = _resolve_exact(args.matrix2)
     if args.mode == "unitary":
         eq = unitary_equivalent(b1, b2)
         payload = {"equiv": {"mode": "unitary", "equivalent": eq, "witness": None}}
@@ -212,6 +208,12 @@ def cmd_equiv(args) -> int:
 
 # --- claim audit -----------------------------------------------------------
 
+# The variants, dephased forms and unit-diagonal forms, whose unitary classes
+# claims C5-C7 and C10 read.
+_VARIANTS = ("A10", "A20", "A30", "A40", "A50", "A60")
+_FAMILIES = (_VARIANTS, ("A01", "A02", "A03"), ("A1", "A2", "A3"))
+
+
 def _claim_hadamard() -> ClaimRecord:
     bad = [e.name for e in catalog.entries() if not is_hadamard_exact(e.matrix)]
     ones = ButsonMatrix(3, [[0] * 6 for _ in range(6)])
@@ -232,8 +234,8 @@ def _claim_hadamard() -> ClaimRecord:
     return ClaimRecord("C1", "every catalog matrix is Hadamard", computed, status)
 
 
-def _claim_reference_poly(cid: str, name: str, claim: str) -> ClaimRecord:
-    p = charpoly_exact(catalog.get(name))
+def _claim_reference_poly(cid: str, polys: dict, name: str, claim: str) -> ClaimRecord:
+    p = polys[name]
     ok = poly_eq(p, REFERENCE_SPECTRAL_FUNCTIONS[name])
     return ClaimRecord(
         cid, claim,
@@ -253,15 +255,9 @@ def _claim_m6_m61_standard() -> ClaimRecord:
         CONFIRMED if ok else REFUTED)
 
 
-def _claim_variant_polys() -> ClaimRecord:
-    names = ["A10", "A20", "A30", "A40", "A50", "A60"]
-    polys = {n: charpoly_exact(catalog.get(n)) for n in names}
-    mismatched = [n for n in names if not poly_eq(polys[n], REFERENCE_SPECTRAL_FUNCTIONS[n])]
-    distinct = all(
-        not poly_eq(polys[a], polys[b])
-        for i, a in enumerate(names) for b in names[i + 1:]
-    )
-    if not distinct:
+def _claim_variant_polys(polys: dict, classes: list[list[int]]) -> ClaimRecord:
+    mismatched = [n for n in _VARIANTS if not poly_eq(polys[n], REFERENCE_SPECTRAL_FUNCTIONS[n])]
+    if len(classes) != len(_VARIANTS):
         return ClaimRecord("C5", "the six variant spectral functions are pairwise distinct",
                            "a pair of variants shares its polynomial", REFUTED)
     if mismatched:
@@ -274,22 +270,17 @@ def _claim_variant_polys() -> ClaimRecord:
         "all six match the displays exactly; all 15 pairs distinct", CONFIRMED)
 
 
-def _claim_dephased_collapse() -> ClaimRecord:
-    p01 = charpoly_exact(catalog.get("A01"))
-    p02 = charpoly_exact(catalog.get("A02"))
-    p03 = charpoly_exact(catalog.get("A03"))
-    ok = poly_eq(p01, p03) and not poly_eq(p01, p02)
+def _claim_dephased_collapse(classes: list[list[int]]) -> ClaimRecord:
+    ok = classes == [[0, 2], [1]]
     return ClaimRecord(
         "C6", "A01 and A03 share their spectral function; A02 differs",
         "f(A01) = f(A03) != f(A02), exact" if ok else "collapse pattern violated",
         CONFIRMED if ok else REFUTED)
 
 
-def _claim_shared_spectrum() -> ClaimRecord:
-    p1 = charpoly_exact(catalog.get("A1"))
-    p2 = charpoly_exact(catalog.get("A2"))
-    p3 = charpoly_exact(catalog.get("A3"))
-    same = poly_eq(p1, p2) and poly_eq(p1, p3)
+def _claim_shared_spectrum(polys: dict, classes: list[list[int]]) -> ClaimRecord:
+    p1 = polys["A1"]
+    same = len(classes) == 1
     reference = poly_eq(p1, REFERENCE_SPECTRAL_FUNCTIONS["A1"])
     conj_invariant = poly_eq(p1, charpoly_exact(catalog.get("A1").conjugated()))
     return ClaimRecord(
@@ -331,12 +322,8 @@ def _claim_isolation() -> ClaimRecord:
         CONFIRMED if ok else REFUTED)
 
 
-def _claim_class_counts() -> ClaimRecord:
-    c_var = classify([catalog.get(n) for n in ("A10", "A20", "A30", "A40", "A50", "A60")],
-                     "unitary")
-    c_std = classify([catalog.get(n) for n in ("A01", "A02", "A03")], "unitary")
-    c_diag = classify([catalog.get(n) for n in ("A1", "A2", "A3")], "unitary")
-    counts = (len(c_var), len(c_std), len(c_diag))
+def _claim_class_counts(classes: list[list[list[int]]]) -> ClaimRecord:
+    counts = tuple(map(len, classes))
     ok = counts == (6, 2, 1)
     return ClaimRecord(
         "C10", "unitary class counts: variants 6, dephased forms 2, unit-diagonal forms 1",
@@ -382,20 +369,24 @@ def _claim_symmetric_family() -> ClaimRecord:
 
 
 def build_claims() -> list[ClaimRecord]:
+    # One exact polynomial per catalog matrix, read by C2, C3, C5-C7 and C10.
+    polys = {name: charpoly_exact(catalog.get(name)) for name in catalog.names()}
+    classes = [_partition(len(f), lambda i, j: poly_eq(polys[f[i]], polys[f[j]]))
+               for f in _FAMILIES]
     return [
         _claim_hadamard(),
-        _claim_reference_poly("C2", "M6",
+        _claim_reference_poly("C2", polys, "M6",
                               "scaled charpoly of M6 equals (x^2-1)^3 coefficientwise"),
-        _claim_reference_poly("C3", "M61",
+        _claim_reference_poly("C3", polys, "M61",
                               "spectrum of M61 is the reference eigenvalue multiset: "
                               "(x^2-6)^2(x^2+4x+6) in x = sqrt6*lambda"),
         _claim_m6_m61_standard(),
-        _claim_variant_polys(),
-        _claim_dephased_collapse(),
-        _claim_shared_spectrum(),
+        _claim_variant_polys(polys, classes[0]),
+        _claim_dephased_collapse(classes[1]),
+        _claim_shared_spectrum(polys, classes[2]),
         _claim_standard_classes(),
         _claim_isolation(),
-        _claim_class_counts(),
+        _claim_class_counts(classes),
         _claim_symmetric_family(),
     ]
 

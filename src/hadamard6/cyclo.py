@@ -41,9 +41,12 @@ psi_13 = 3317044064679887385961981 (Sorenson & Webster 2017). Factoring q is
 trial division that stops as soon as what is left of q is 1 or a prime below
 that bound; it is tested once before the loop and once after each prime
 divided out, so a prime q, or a prime times a smooth part, costs about as
-much as that smooth part. The degree-one prime ideals of Z[zeta_q] are the
-pairs (p, z) with p = 1 (mod q) prime and z of order q in F_p, zeta -> z
-mod p; the defect of invariants is computed modulo them.
+much as that smooth part. A root order is checked (q >= 1) and factored
+once, in the cached _binomials; euler_phi, the prime ideals and the
+reduction modulo Phi_q all read its phi(q), primes and binomial factors.
+The degree-one prime ideals of Z[zeta_q] are the pairs (p, z) with
+p = 1 (mod q) prime and z of order q in F_p, zeta -> z mod p; the defect of
+invariants is computed modulo them.
 """
 
 from __future__ import annotations
@@ -111,12 +114,7 @@ def _prime_factors(q: int) -> list[int]:
 
 def euler_phi(q: int) -> int:
     """Number of units mod q, from the product formula over primes dividing q."""
-    if q < 1:
-        raise ValueError("root order must be positive")
-    phi = q
-    for f in _prime_factors(q):
-        phi = phi // f * (f - 1)
-    return phi
+    return _binomials(q)[0]
 
 
 def _prime_ideals(q: int):
@@ -126,28 +124,34 @@ def _prime_ideals(q: int):
     it if those run out), and z over g^k for one g of order q in F_p and every
     unit k mod q; each pair is a distinct prime ideal of norm p.
     """
-    factors = _prime_factors(q)
+    primes = _binomials(q)[1]
     top = (_PRIME_CEILING - 1) // q
     for k in chain(range(top, 0, -1), count(top + 1)):
         p = k * q + 1
         if not _is_prime(p):
             continue
         powers = (pow(c, (p - 1) // q, p) for c in count(2))
-        g = next(h for h in powers if all(pow(h, q // f, p) != 1 for f in factors))
+        g = next(h for h in powers if all(pow(h, q // f, p) != 1 for f in primes))
         for unit in range(q):
             if math.gcd(unit, q) == 1:
                 yield p, pow(g, unit, p)
 
 
 @lru_cache(maxsize=None)
-def _binomials(q: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    # phi(q) and the factors (q/d, mu(d)), ascending, over the squarefree
-    # divisors d of q: Phi_q(x) is the product of (1 - x^(q/d))^mu(d) for
-    # q > 1, and that product is 1 - x = -Phi_1(x) for q = 1.
-    primes = _prime_factors(q)
-    factors = [(q // math.prod(p for i, p in enumerate(primes) if d >> i & 1),
-                -1 if d.bit_count() % 2 else 1) for d in range(1 << len(primes))]
-    return euler_phi(q), tuple(sorted(factors))
+def _binomials(q: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    # The one place a root order is checked and factored: phi(q), the primes
+    # of q, ascending, and the factors (q/d, mu(d)), ascending, over the
+    # squarefree divisors d of q: Phi_q(x) is the product of
+    # (1 - x^(q/d))^mu(d) for q > 1, and that product is 1 - x = -Phi_1(x)
+    # for q = 1.
+    if q < 1:
+        raise ValueError("root order must be positive")
+    primes = tuple(_prime_factors(q))
+    divisors = [(1, 1)]  # (d, mu(d))
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    phi = q // math.prod(primes) * math.prod(p - 1 for p in primes)
+    return phi, primes, tuple(sorted((q // d, mu) for d, mu in divisors))
 
 
 def _times_phi(factors, c: list, inverse: bool = False) -> None:
@@ -172,7 +176,7 @@ def cyclotomic_coeffs(q: int) -> tuple[int, ...]:
     degree phi(q), each factor is one pass. For q = 1 the product is
     1 - x = -Phi_1.
     """
-    deg, factors = _binomials(q)
+    deg, _, factors = _binomials(q)
     c = [1 if q > 1 else -1] + [0] * deg
     _times_phi(factors, c)
     return tuple(c)
@@ -183,7 +187,7 @@ def _reduce(q: int, coeffs) -> tuple[int, ...]:
     # quotient, read from its top coefficient down, is the reversed high part
     # of c divided by Phi_q as a power series; the remainder is c minus
     # quotient * Phi_q, of which only the terms below degree phi(q) are formed.
-    deg, factors = _binomials(q)
+    deg, _, factors = _binomials(q)
     c = list(coeffs)
     if not any(c[deg:]):
         return tuple(c[:deg]) + (0,) * (deg - len(c))
@@ -253,8 +257,6 @@ class CycInt:
     __slots__ = ("_q", "_coeffs")
 
     def __init__(self, q: int, coeffs) -> None:
-        if q < 1:
-            raise ValueError("root order must be positive")
         self._q = q
         self._coeffs = _reduce(q, map(index, coeffs))
 

@@ -329,11 +329,25 @@ def _build_witness(a: ButsonMatrix, b: ButsonMatrix, sigma: tuple[int, ...],
     return Witness(sigma, tau, PhaseVector(q, left), PhaseVector(q, right))
 
 
+def _partition(size: int, related) -> list[list[int]]:
+    # Indices 0..size-1 in classes, each index compared with the first member
+    # of every class so far and appended to the first it is related to.
+    classes: list[list[int]] = []
+    for idx in range(size):
+        for cls in classes:
+            if related(cls[0], idx):
+                cls.append(idx)
+                break
+        else:
+            classes.append([idx])
+    return classes
+
+
 def classify(mats, relation: str) -> list[list[int]]:
     """Partition indices of mats under 'standard' or 'unitary' equivalence.
 
-    Classes are ordered by first member and listed in input order, so the
-    output is deterministic.
+    Classes are built by _partition: ordered by first member and listed in
+    input order, so the output is deterministic.
     """
     mats = list(mats)
     if not mats:
@@ -355,12 +369,4 @@ def classify(mats, relation: str) -> list[list[int]]:
             mats[i], mats[j], _colours(keys[i], keys[j])).equivalent)
     else:
         raise ValueError("relation must be 'standard' or 'unitary'")
-    classes: list[list[int]] = []
-    for idx in range(len(mats)):
-        for cls in classes:
-            if related(cls[0], idx):
-                cls.append(idx)
-                break
-        else:
-            classes.append([idx])
-    return classes
+    return _partition(len(mats), related)

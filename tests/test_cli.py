@@ -450,6 +450,29 @@ def test_report_runs_without_floating_point_spectra(monkeypatch):
     assert all(c.status != cli.REFUTED for c in cli.build_claims())
 
 
+def test_report_computes_each_catalog_polynomial_once(monkeypatch):
+    # One table of the catalog's polynomials, plus A1's conjugate for C7,
+    # feeds every spectral claim; the unitary classes of C5-C7 and C10 compare
+    # its entries instead of calling classify.
+    computed = []
+
+    def counting(b):
+        computed.append(b)
+        return charpoly_exact(b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report called classify")
+
+    charpoly_exact = cli.charpoly_exact
+    for module in (cli, equivalence):
+        monkeypatch.setattr(module, "charpoly_exact", counting)
+        monkeypatch.setattr(module, "classify", refuse, raising=False)
+    assert all(c.status != cli.REFUTED for c in cli.build_claims())
+    assert len(computed) <= 16
+    names = [e.name for b in computed for e in catalog.entries() if e.matrix is b]
+    assert sorted(names) == sorted(set(names))
+
+
 @pytest.mark.parametrize("status", [cli.REFUTED, cli.DISCREPANCY])
 def test_claim_record_refuses_missing_counter_value(status):
     with pytest.raises(ValueError, match="counter-value"):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -53,7 +54,7 @@ def _divisor_recursion(q):
 def test_cyclotomic_matches_divisor_recursion():
     for q in range(1, 401):
         assert cyclotomic_coeffs(q) == _divisor_recursion(q), q
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="root order must be positive"):
         cyclotomic_coeffs(0)
 
 
@@ -109,6 +110,25 @@ def test_euler_phi():
     assert [euler_phi(q) for q in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
 
 
+def test_root_order_is_factored_once(monkeypatch):
+    # phi, the reduction modulo Phi_q and the prime ideals all read the
+    # cached _binomials, so one order is factored once however it is used.
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return _prime_factors(q)
+
+    cyclo._binomials.cache_clear()
+    monkeypatch.setattr(cyclo, "_prime_factors", counting)
+    q = 707
+    assert euler_phi(q) == 600
+    CycInt(q, [1, 2, 3])
+    assert euler_phi(q) == 600
+    assert len(list(islice(cyclo._prime_ideals(q), 2))) == 2
+    assert calls == [q]
+
+
 def test_euler_phi_matches_gcd_count():
     for q in range(1, 501):
         assert euler_phi(q) == sum(1 for k in range(1, q + 1) if math.gcd(k, q) == 1), q
@@ -121,7 +141,7 @@ def test_euler_phi_matches_gcd_count():
     assert euler_phi(2 ** 62 - 57) == 2 ** 62 - 58
     assert euler_phi(10 ** 14 + 31) == 10 ** 14 + 30
     assert euler_phi(2 * (2 ** 61 - 1)) == 2 ** 61 - 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="root order must be positive"):
         euler_phi(0)
 
 
@@ -279,6 +299,8 @@ def test_zeta_wraps():
 def test_zeta_rejects_non_positive_orders(q):
     with pytest.raises(ValueError, match="root order must be positive"):
         CycInt.zeta(q)
+    with pytest.raises(ValueError, match="root order must be positive"):
+        CycInt(q, [1])
 
 
 def test_order_mismatch():
