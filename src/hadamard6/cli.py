@@ -129,9 +129,9 @@ def cmd_verify(args) -> int:
 def cmd_charpoly(args) -> int:
     name, b = _resolve_exact(args.matrix)
     p = charpoly_exact(b)
-    payload = {"name": name, "q": b.q, "n": b.n,
+    payload = {"name": name, "q": p.q, "n": b.n,
                "charpoly": {"e": [list(c.coeffs) for c in p.e]}}
-    lines = [f"scaled charpoly over the order-{b.q} ring "
+    lines = [f"scaled charpoly over the order-{p.q} ring "
              f"(x^k coefficient = e_k * {b.n}^(-({b.n}-k)/2)):"]
     for k, c in enumerate(p.e):
         lines.append(f"  e{k} = {c}")
@@ -141,8 +141,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_spectrum(args) -> int:
     name, b = _resolve_exact(args.matrix)
-    p = charpoly_exact(b)
-    spec = spectrum_numeric(p, tol=args.tol)
+    spec = spectrum_numeric(charpoly_exact(b))
     payload = {"name": name, "q": b.q, "n": b.n,
                "spectrum": [
                    {"re": float(_f(v.real)), "im": float(_f(v.imag)), "mult": m}
@@ -369,8 +368,11 @@ def _claim_symmetric_family() -> ClaimRecord:
 
 
 def build_claims() -> list[ClaimRecord]:
-    # One exact polynomial per catalog matrix, read by C2, C3, C5-C7 and C10.
-    polys = {name: charpoly_exact(catalog.get(name)) for name in catalog.names()}
+    # One exact polynomial per distinct grid that C2, C3, C5-C7 and C10 read
+    # (A01 and A03 are one grid), looked up by name.
+    grids = {name: catalog.get(name) for name in sum(_FAMILIES, ("M6", "M61"))}
+    table = {b: charpoly_exact(b) for b in dict.fromkeys(grids.values())}
+    polys = {name: table[b] for name, b in grids.items()}
     classes = [_partition(len(f), lambda i, j: poly_eq(polys[f[i]], polys[f[j]]))
                for f in _FAMILIES]
     return [
@@ -431,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="numeric spectrum with multiplicities")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("dephase", help="standard form plus reconstructing phases")

@@ -49,6 +49,8 @@ class CharPoly(Record):
 
     e runs from degree 0 upward. Read as det(xI - H/sqrt(n)), the x^k
     coefficient is e_k * n^(-(n-k)/2), which complex_coeffs() evaluates.
+    charpoly_exact sets q to the grid's own order, which divides the order
+    the grid is written over; poly_eq compares across orders.
     """
 
     __slots__ = ("n", "q", "e")
@@ -123,17 +125,17 @@ def charpoly_group_ring(q: int, exponents) -> list[list[int]]:
 
 
 def charpoly_exact(b: ButsonMatrix) -> CharPoly:
-    """Exact det(xI - B) over Z[zeta_q]: charpoly_group_ring reduced modulo Phi_q.
+    """Exact det(xI - B) at the grid's own order: charpoly_group_ring reduced modulo Phi.
 
-    The loop runs at the grid's own order q/g, g the gcd of q and every
-    exponent (zeta_q^(g x) = zeta_(q/g)^x), and each coefficient is lifted
-    back with CycInt.to_order(q). Reducing modulo the cyclotomic polynomial
-    once at the end is a ring homomorphism onto Z[zeta_(q/g)], and the reduced
-    form is canonical, so the result equals the one computed at order q.
+    The own order is q/g, g the gcd of q and every exponent
+    (zeta_q^(g x) = zeta_(q/g)^x), and the result's q is that order, not
+    b.q. Reducing modulo the cyclotomic polynomial once at the end is a ring
+    homomorphism onto Z[zeta_(q/g)], and the reduced form is canonical, so
+    two polynomials compare exactly after poly_eq lifts them to a common order.
     """
     d = _divided_order(b)
-    return CharPoly(b.n, b.q, tuple(CycInt(d.q, v).to_order(b.q)
-                                    for v in charpoly_group_ring(d.q, d.exponents)))
+    return CharPoly(b.n, d.q,
+                    tuple(CycInt(d.q, v) for v in charpoly_group_ring(d.q, d.exponents)))
 
 
 def scale(p: CharPoly, n: int) -> CharPoly:
@@ -151,8 +153,6 @@ def poly_eq(p1: CharPoly, p2: CharPoly) -> bool:
     """Exact coefficientwise equality, after embedding into a common root order."""
     if p1.n != p2.n:
         raise ValueError("polynomials of different dimension are not comparable")
-    if p1.q == p2.q:
-        return p1.e == p2.e
     q = math.lcm(p1.q, p2.q)
     return all(a.to_order(q) == b.to_order(q) for a, b in zip(p1.e, p2.e))
 

@@ -26,8 +26,11 @@ if TYPE_CHECKING:
 
 # Largest accepted root order, the bound the BH text format documents.
 # Exponents are Python ints everywhere, so this is an input limit, not an
-# overflow guard: exact cyclotomic arithmetic costs O(q) per ring element,
-# and far smaller orders are already slow.
+# overflow guard. Exact cyclotomic arithmetic costs O(q) per ring element, so
+# the exact checks and charpoly_exact run at the grid's own order (see
+# _divided_order), and their results stay there: a grid written over 2**62
+# whose own order is 2 costs what it costs at q = 2, while one whose own
+# order is large is slow long before the bound.
 MAX_ORDER = 1 << 62
 
 

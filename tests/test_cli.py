@@ -138,12 +138,12 @@ def f6_over_30030(step):
     return ButsonMatrix(30030, grid)
 
 
-# q1e6 and f6_30030 divide back to their own order (2 and 6) before any ring
-# arithmetic, and charpoly lifts the coefficients to the order as written.
-# q1e6_coprime has an entry coprime to q, so charpoly's packed loop runs at
-# q = 10**6. f6_moved keeps q = 30030 throughout, so every ring element is
-# reduced modulo Phi_30030; it is not Hadamard. q2_62 is checked at q = 2;
-# at the full order it would allocate 2**62 counters.
+# q1e6, f6_30030 and q2_62 divide back to their own order (2, 6 and 2) before
+# any ring arithmetic, and charpoly's coefficients stay there; at the full
+# order q2_62 would need vectors of 2**61 counters. q1e6_coprime has an entry
+# coprime to q, so charpoly's packed loop runs at q = 10**6. f6_moved keeps
+# q = 30030 throughout, so every ring element is reduced modulo Phi_30030; it
+# is not Hadamard.
 LARGE_ORDER_GRIDS = {
     "q1e6": "BH 1000000 2\n0 0\n0 500000\n",
     "q1e6_coprime": "BH 1000000 2\n0 0\n0 1\n",
@@ -169,6 +169,10 @@ LARGE_ORDER_CASES = [
     ("defect", "f6_moved", 2, ""),
     ("verify", "q2_62", 0, HADAMARD),
     ("defect", "q2_62", 0, "defect: 0\n"),
+    ("charpoly", "q2_62", 0, "scaled charpoly over the order-2 ring "
+                             "(x^k coefficient = e_k * 2^(-(2-k)/2)):\n"
+                             "  e0 = -2\n  e1 = 0\n  e2 = 1\n"),
+    ("spectrum", "q2_62", 0, "-1 0 x1\n1 0 x1\n"),
 ]
 
 
@@ -185,6 +189,17 @@ def test_large_root_orders_answer_in_a_fresh_interpreter(command, grid, code, ou
         assert proc.stderr == ""
     if out is not None:
         assert proc.stdout == out
+
+
+def test_equiv_unitary_at_the_largest_order(tmp_path):
+    # The 2x2 grid written over q = 2**62 against the same matrix over q = 2:
+    # both polynomials sit at order 2, so poly_eq compares them there.
+    big, small = tmp_path / "q2_62.txt", tmp_path / "h2.txt"
+    big.write_text(LARGE_ORDER_GRIDS["q2_62"])
+    small.write_text("BH 2 2\n0 0\n0 1\n")
+    proc = run_fresh(["-m", "hadamard6.cli", "equiv", "unitary", str(big), str(small)],
+                     timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "equivalent: true\n", "")
 
 
 def test_charpoly_json_matches_library(capsys):
@@ -212,9 +227,23 @@ def test_spectrum_json(capsys):
     assert sum(item["mult"] for item in payload["spectrum"]) == 6
 
 
-def test_spectrum_numeric_failure_exits_3(capsys):
-    code, _ = run(capsys, "spectrum", "A10", "--tol", "1e-30")
-    assert code == 3
+def test_spectrum_numeric_failure_exits_3(capsys, monkeypatch):
+    def fail(p):
+        raise cli.ConvergenceError("root residual 1e-3 exceeds 1e-8")
+
+    monkeypatch.setattr(cli, "spectrum_numeric", fail)
+    assert cli.main(["spectrum", "A10"]) == 3
+    assert capsys.readouterr() == ("", "numeric failure: root residual 1e-3 exceeds 1e-8\n")
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_spectrum_of_a_grid_lifted_by_two_is_unchanged(capsys, tmp_path, name):
+    # The same matrix written over twice its order has the same polynomial at
+    # its own order, so the same roots and the same digits.
+    b = catalog.get(name)
+    path = tmp_path / "lifted.txt"
+    path.write_text(format_matrix(b.to_order(2 * b.q)))
+    assert run(capsys, "spectrum", str(path)) == run(capsys, "spectrum", name)
 
 
 def test_dephase_json_reconstructs(capsys):
@@ -265,9 +294,8 @@ def test_defect_json_names_its_certificate(capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["spectrum", "M61", "--tol", "nan"], 2),
     (["verify", "COMPLEX", "--tol", "nan"], 2),
-], ids=["spectrum-nan", "verify-complex-nan"])
+], ids=["verify-complex-nan"])
 def test_unusable_tolerance_is_refused(capsys, tmp_path, argv, code):
     path = tmp_path / "m.txt"
     path.write_text(format_matrix(complex_grid(catalog.get("M6"))))
@@ -322,6 +350,38 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     lines = proc.stdout.splitlines()
     assert "defect: 0" in lines and "defect: 4" in lines
     assert "hadamard: true (numeric)" in lines and "hadamard: false (numeric)" in lines
+
+
+def test_numpy_is_an_optional_extra():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert project["optional-dependencies"]["numeric"] == ["numpy>=1.24"]
+    assert "numpy>=1.24" in project["optional-dependencies"]["test"]
+
+
+def test_float_mirrors_name_numpy_when_it_is_missing():
+    # The four library functions that build arrays or call LAPACK import numpy
+    # inside; without it each raises ImportError naming numpy.
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+        from hadamard6 import catalog
+        from hadamard6.catalog import agaian_symmetric
+        from hadamard6.invariants import deformation_system, eig_real_symmetric
+        a1 = catalog.get("A1")
+        for call in (a1.to_complex, lambda: deformation_system(a1),
+                     lambda: agaian_symmetric(0.5), lambda: eig_real_symmetric([[1.0]])):
+            try:
+                call()
+            except ImportError as exc:
+                assert "numpy" in str(exc), exc
+            else:
+                raise AssertionError(f"{call} ran without numpy")
+    """)
+    proc = run_fresh(["-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_equiv_standard_exit_codes_and_witness(capsys, tmp_path):
@@ -468,9 +528,11 @@ def test_report_computes_each_catalog_polynomial_once(monkeypatch):
         monkeypatch.setattr(module, "charpoly_exact", counting)
         monkeypatch.setattr(module, "classify", refuse, raising=False)
     assert all(c.status != cli.REFUTED for c in cli.build_claims())
-    assert len(computed) <= 16
-    names = [e.name for b in computed for e in catalog.entries() if e.matrix is b]
-    assert sorted(names) == sorted(set(names))
+    # 13 distinct grids of C2, C3, C5-C7 and C10 (A01 and A03 are one), and
+    # A1's conjugate; F6 is read by no spectral claim.
+    assert len(computed) <= 14
+    assert len(set(computed)) == len(computed)
+    assert catalog.get("F6") not in computed
 
 
 @pytest.mark.parametrize("status", [cli.REFUTED, cli.DISCREPANCY])

@@ -34,7 +34,7 @@ from hadamard6.invariants import (
     spectrum_distance,
     spectrum_numeric,
 )
-from hadamard6.matrices import ButsonMatrix, dephase, rephase, PhaseVector
+from hadamard6.matrices import ButsonMatrix, _divided_order, dephase, rephase, PhaseVector
 
 rng = random.Random(4242)
 
@@ -64,8 +64,10 @@ def random_standard_transform(b, r=rng):
 # --- exact characteristic polynomials --------------------------------------
 
 def test_charpoly_one_by_one():
+    # [[1]] over q = 3 has own order 1, where every coefficient is an integer.
     p = charpoly_exact(ButsonMatrix(3, [[0]]))
-    assert [tuple(c.coeffs) for c in p.e] == [(-1, 0), (1, 0)]  # x - 1
+    assert p.q == 1
+    assert [tuple(c.coeffs) for c in p.e] == [(-1,), (1,)]  # x - 1
 
 
 def test_charpoly_two_by_two_hand_value():
@@ -108,7 +110,9 @@ def test_charpoly_matches_leibniz_on_random_grids():
     for q in (1, 2, 3, 4, 5, 6, 8, 12):
         for n in range(1, 8):
             b = ButsonMatrix(q, [[local.randrange(q) for _ in range(n)] for _ in range(n)])
-            assert charpoly_exact(b) == leibniz_charpoly(b), (q, b.exponents)
+            p = charpoly_exact(b)
+            assert p.q == _divided_order(b).q, (q, b.exponents)
+            assert poly_eq(p, leibniz_charpoly(b)), (q, b.exponents)
 
 
 def _rotate(v, e):
@@ -214,14 +218,14 @@ def test_pack_unpack_round_trip_at_extreme_digits(w):
 
 
 def test_charpoly_exact_runs_at_the_own_order():
-    # F6 written over q = 30030 divides back to q = 6; the lift is canonical.
+    # F6 written over q = 30030 divides back to q = 6, and its polynomial stays there.
     f6 = catalog.get("F6")
     lifted = ButsonMatrix(30030, [[5005 * x for x in row] for row in f6.exponents])
     p = charpoly_exact(lifted)
-    assert p.q == 30030
-    assert p.e == tuple(c.to_order(30030) for c in charpoly_exact(f6).e)
+    assert p.q == 6
+    assert p == charpoly_exact(f6)
     big = charpoly_exact(ButsonMatrix(10 ** 6, [[0, 0], [0, 500000]]))
-    assert big.q == 10 ** 6 and big.e == (-2, 0, 1)  # x^2 - 2
+    assert big.q == 2 and big.e == (-2, 0, 1)  # x^2 - 2
 
 
 def test_charpoly_matches_sympy_beyond_dimension_eight():
@@ -395,8 +399,9 @@ def test_spectrum_convergence_error_on_absurd_tolerance():
 
 
 def test_spectrum_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        spectrum_numeric(scaled("A10"), tol=0.0)
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            spectrum_numeric(scaled("A10"), tol=tol)
 
 
 def test_spectrum_distance_requires_equal_size():
