@@ -1,6 +1,8 @@
 """Standard and unitary equivalence deciders with checkable witnesses.
 
-Unitary equivalence is exact equality of scaled characteristic polynomials.
+Unitary equivalence is exact equality of scaled characteristic polynomials,
+tested trace first: a polynomial is computed only for a grid whose exact
+trace ties with the one it is compared against.
 Standard equivalence is decided by exhaustive search over row permutations;
 for each row permutation the compatible column permutations are recovered by
 exact matching of dephased column vectors, which enumerates the same set as a
@@ -19,6 +21,16 @@ with pairs anchored at one row. The c0 left at a full permutation go to the
 exact test, a comparison of sorted dephased columns. Between Butson Hadamard
 matrices of prime order, whose row differences take each value equally
 often, row masks filter nothing; pair masks can, except at q = 2.
+
+Row masks are packed on dense grids, q <= n^2, the rule row_keys shares:
+row s minus the pivot row, u, is one integer P = sum_j X^u_j, and its
+multiset dephased against c0 is P rotated down by u[c0] digits, so each
+distinct value of the row costs one rotation and one lookup among the
+target rows, packed alike, and no tuple is built or sorted. The tuples of
+dephased rows, which the pair masks and the exact test read, are built from
+the same u only for a pivot whose prefix reaches a leaf, and the target's
+pair profiles at the first leaf of the search; a sparse grid keys its row
+masks by those tuples from the start.
 
 With the prescreen on, rows are also coloured by their keys
 (invariants.row_keys): the Haagerup pair multisets of each row with every
@@ -44,7 +56,8 @@ from __future__ import annotations
 import math
 from operator import add
 
-from .invariants import _haagerup_sum, charpoly_exact, poly_eq, row_keys
+from .cyclo import CycInt
+from .invariants import CharPoly, _haagerup_sum, _packed_keys, charpoly_exact, poly_eq, row_keys
 from .matrices import ButsonMatrix, PhaseVector, Record, _dephased_exponents, _transformed
 
 
@@ -90,10 +103,33 @@ def apply_witness(w: Witness, b: ButsonMatrix) -> ButsonMatrix:
 
 
 def unitary_equivalent(b1: ButsonMatrix, b2: ButsonMatrix) -> bool:
-    """Equality of spectra of B/sqrt(n), tested exactly on scaled polynomials."""
+    """Equality of spectra of B/sqrt(n), tested exactly on scaled polynomials.
+
+    Trace first: the trace is minus the x^(n-1) coefficient, so grids whose
+    exact traces (see _trace) differ are refuted without a polynomial.
+    """
     if b1.n != b2.n:
         raise ValueError("matrices of different dimension are not comparable")
-    return poly_eq(charpoly_exact(b1), charpoly_exact(b2))
+    return (_same_trace(_trace(b1), _trace(b2))
+            and poly_eq(charpoly_exact(b1), charpoly_exact(b2)))
+
+
+def _trace(b: ButsonMatrix) -> CycInt:
+    """sum_i zeta^e_ii, exactly, at the order of the diagonal: q over the gcd
+    of q and the diagonal exponents, which divides the grid's own order (see
+    charpoly_exact) and is cheaper to find."""
+    diagonal = [row[i] for i, row in enumerate(b.exponents)]
+    g = math.gcd(b.q, *diagonal)
+    counts = [0] * (max(diagonal) // g + 1)
+    for x in diagonal:
+        counts[x // g] += 1
+    return CycInt(b.q // g, counts)
+
+
+def _same_trace(t1: CycInt, t2: CycInt) -> bool:
+    # Compared at the lcm of the two orders, as poly_eq compares coefficients.
+    q = math.lcm(t1.q, t2.q)
+    return t1.to_order(q) == t2.to_order(q)
 
 
 def _common_order(mats: list[ButsonMatrix]) -> list[ButsonMatrix]:
@@ -134,14 +170,14 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
 
     Row permutations sigma are walked depth first, as prefixes
     sigma[0..k] in itertools order. The row masks of pivot sigma[0] are
-    built once per pivot, and the pair masks of sigma[1] (see _masks) the
-    first time a row-mask chain under it reaches a leaf with first columns
-    c0 left; from then on they are ANDed at every depth of that subtree. A
-    prefix whose last row has the wrong colour, or that has no c0 left, is
-    pruned with its (n - k - 1)! leaves, and each c0 left at a leaf is
-    tested exactly, in ascending order. search_stats is the 1-based
-    itertools position of the row permutation that gave the witness, or n!
-    for a miss.
+    built once per pivot (see _row_masks), and its tuple rows and the pair
+    masks of sigma[1] (see _masks) the first time a row-mask chain under it
+    reaches a leaf with first columns c0 left; from then on the pair masks
+    are ANDed at every depth of that subtree. A prefix whose last row has
+    the wrong colour, or that has no c0 left, is pruned with its
+    (n - k - 1)! leaves, and each c0 left at a leaf is tested exactly, in
+    ascending order. search_stats is the 1-based itertools position of the
+    row permutation that gave the witness, or n! for a miss.
 
     At most SEARCH_BUDGET nodes are tried, a node being one (prefix, row)
     extension or one exact test of a c0; the exact tests at a leaf are
@@ -173,7 +209,7 @@ def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdic
     order q, with sigma[k] among the rows set in colours[k]."""
     n, q = a.n, a.q
     target = _dephased_exponents(a.exponents, q)
-    by_row, by_pair = _profiles(target, 0, q), _profiles(target, min(1, n - 1), q)
+    by_row, by_pair = _row_profiles(target, q), None
     target_cols = list(zip(*target[1:]))
     want = sorted(target_cols)
     limit = SEARCH_BUDGET
@@ -209,10 +245,10 @@ def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdic
                 covered += leaves[k]
                 continue
         else:
-            rows, groups = _dephased_rows(eb, s, q)
+            us = _pivoted(eb, s, q)
             # Target row 0 and the pivot row s dephase to zeros, so the
             # pivot's own row mask is full and h starts full.
-            row_masks = _masks(groups, by_row)
+            row_masks, table = _row_masks(us, by_row, q)
             h = (1 << n) - 1
         sigma[k] = s
         if k < n - 1:
@@ -224,7 +260,12 @@ def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdic
             nodes += n - k
             nxt[k] = 0
             continue
+        if table is None:
+            table = _dephased_rows(us, q)
+        rows, groups = table
         if pair is None and n > 2:
+            if by_pair is None:
+                by_pair = _profiles(target, 1, q)
             pair = _masks(groups, by_pair, sigma[1], q)
             for i in range(2, n):
                 h &= pair[i][sigma[i]]
@@ -272,13 +313,65 @@ def _profiles(target, k: int, q: int) -> dict[tuple, list[int]]:
     return found
 
 
-def _dephased_rows(eb, r: int, q: int):
-    """(rows, groups): rows[s][c0] is row s of b dephased against row r and
-    column c0. Columns c0 holding the same value of row s share one tuple,
-    and groups[s] lists each distinct tuple once with its bitmask of c0."""
+def _pivoted(eb, r: int, q: int) -> list[list[int]]:
+    """The rows of b minus its pivot row r, mod q: the u of _row_masks."""
+    return [[(x - y) % q for x, y in zip(row, eb[r])] for row in eb]
+
+
+def _row_profiles(target, q: int):
+    """(at, keys): the target rows keyed as _row_masks reads them. On a
+    sparse grid at is None and keys is _profiles(target, 0, q); on a dense
+    one, q <= n^2 as in invariants.row_keys, at(x) = X^x with X = 2^w, and
+    each row is keyed by its exponent multiset packed into one integer,
+    sum_j X^target[i][j]. A digit of w bits holds any count up to n."""
+    n = len(target)
+    if not _packed_keys(n, q):
+        return None, _profiles(target, 0, q)
+    at = [1 << n.bit_length() * x for x in range(q)].__getitem__
+    found: dict[int, list[int]] = {}
+    for i, row in enumerate(target):
+        found.setdefault(sum(map(at, row)), []).append(i)
+    return at, found
+
+
+def _row_masks(us, profiles, q: int):
+    """(masks, table): the row masks (see _masks) of the rows us of b, each
+    taken minus the pivot row mod q, against profiles (see _row_profiles).
+
+    On a dense grid row s is packed once, P = sum_j X^u_j, and the multiset
+    of u - u[c0] is P rotated down by u[c0] digits, so each distinct value
+    of the row costs one rotation and one lookup. table is then None; a
+    sparse grid keys the sorted tuples of _dephased_rows, and table is that
+    (rows, groups).
+    """
+    at, by_row = profiles
+    if at is None:
+        table = _dephased_rows(us, q)
+        return _masks(table[1], by_row), table
+    n = len(us)
+    w = n.bit_length()
+    bits = w * q
+    full = (1 << bits) - 1
+    masks = [[0] * n for _ in range(n)]
+    for s, u in enumerate(us):
+        packed = sum(map(at, u))
+        cols: dict[int, int] = {}
+        for c0, y in enumerate(u):
+            cols[y] = cols.get(y, 0) | 1 << c0
+        for y, m in cols.items():
+            shift = w * y
+            for i in by_row.get(packed >> shift | (packed << bits - shift) & full, ()):
+                masks[i][s] |= m
+    return masks, None
+
+
+def _dephased_rows(us, q: int):
+    """(rows, groups) for the rows us of b, each minus the pivot row mod q:
+    rows[s][c0] is row s dephased against column c0 too. Columns c0 holding
+    the same value of row s share one tuple, and groups[s] lists each
+    distinct tuple once with its bitmask of c0."""
     rows, groups = [], []
-    for row in eb:
-        u = [(x - y) % q for x, y in zip(row, eb[r])]
+    for u in us:
         shifted = {y: tuple([(x - y) % q for x in u]) for y in set(u)}
         bits = dict.fromkeys(shifted, 0)
         for c0, y in enumerate(u):
@@ -347,7 +440,10 @@ def classify(mats, relation: str) -> list[list[int]]:
     """Partition indices of mats under 'standard' or 'unitary' equivalence.
 
     Classes are built by _partition: ordered by first member and listed in
-    input order, so the output is deterministic.
+    input order, so the output is deterministic. The unitary relation is
+    tested trace first, as in unitary_equivalent: each matrix's polynomial
+    is computed at most once, and not at all when no matrix it is compared
+    with has its trace.
     """
     mats = list(mats)
     if not mats:
@@ -355,9 +451,18 @@ def classify(mats, relation: str) -> list[list[int]]:
     if any(m.n != mats[0].n for m in mats):
         raise ValueError("matrices of different dimension are not comparable")
     if relation == "unitary":
-        # One polynomial per matrix; representatives are compared exactly.
-        polys = [charpoly_exact(m) for m in mats]
-        related = lambda i, j: poly_eq(polys[i], polys[j])
+        # Trace first: a matrix's polynomial is computed once, and only when
+        # its trace ties with the trace it is compared against.
+        traces = [_trace(m) for m in mats]
+        polys: dict[int, CharPoly] = {}
+
+        def poly(i: int) -> CharPoly:
+            if i not in polys:
+                polys[i] = charpoly_exact(mats[i])
+            return polys[i]
+
+        related = lambda i, j: (_same_trace(traces[i], traces[j])
+                                and poly_eq(poly(i), poly(j)))
     elif relation == "standard":
         # Each matrix is lifted to the batch's common order and keyed once;
         # only pairs with equal multisets of row keys are searched, with the

@@ -15,7 +15,7 @@ from hadamard6.equivalence import (
     standard_equivalent,
     unitary_equivalent,
 )
-from hadamard6.invariants import charpoly_exact, haagerup_set, row_keys
+from hadamard6.invariants import charpoly_exact, haagerup_set, poly_eq, row_keys
 from hadamard6.matrices import ButsonMatrix, PhaseVector, dephase, rephase
 
 rng = random.Random(99)
@@ -32,6 +32,77 @@ def test_unitary_examples():
     assert not unitary_equivalent(catalog.get("M6"), catalog.get("M61"))
     b = catalog.get("A10")
     assert unitary_equivalent(b, b)
+
+
+def counting_charpolys(monkeypatch):
+    """The grids equivalence computes polynomials of, in call order."""
+    calls = []
+
+    def counting(b):
+        calls.append(b)
+        return charpoly_exact(b)
+
+    monkeypatch.setattr(equivalence, "charpoly_exact", counting)
+    return calls
+
+
+def test_unitary_equivalent_compares_traces_first(monkeypatch):
+    calls = counting_charpolys(monkeypatch)
+    g = catalog.get
+    # Traces 2 - 2z and -2 + 2z; -4 (q = 4) and 0 (F6, lifted to q = 12).
+    assert not unitary_equivalent(g("A10"), g("A20"))
+    assert not unitary_equivalent(g("M61"), g("F6").to_order(12))
+    assert calls == []
+    # Equal traces (0, and 6 on the unit diagonals) need the polynomials.
+    assert not unitary_equivalent(g("M6"), g("F6"))
+    assert unitary_equivalent(g("A1"), g("A2").to_order(6))
+    assert calls == [g("M6"), g("F6"), g("A1"), g("A2").to_order(6)]
+
+
+def similar_transform(r, b):
+    """P D b D^-1 P^T: the same characteristic polynomial, the diagonal permuted."""
+    perm = list(range(b.n))
+    r.shuffle(perm)
+    d = [r.randrange(b.q) for _ in range(b.n)]
+    return rephase(b.permuted(perm, perm), PhaseVector(b.q, tuple(d)),
+                   PhaseVector(b.q, tuple(-x % b.q for x in d)))
+
+
+def test_classify_unitary_matches_pairwise_polynomials():
+    # Batches of random grids that share one diagonal, so their traces tie
+    # while their polynomials differ, with similar transforms of them and
+    # copies lifted to twice their order.
+    r = random.Random(808)
+    tied_apart = 0
+    for _ in range(12):
+        n, q = r.choice((3, 4, 5, 6)), r.choice((2, 3, 4, 6))
+        diagonal = [r.randrange(q) for _ in range(n)]
+        sources = []
+        for _ in range(3):
+            rows = [[r.randrange(q) for _ in range(n)] for _ in range(n)]
+            for i, x in enumerate(diagonal):
+                rows[i][i] = x
+            sources.append(ButsonMatrix(q, rows))
+        sources.append(random_grid(r, n, q))
+        batch = []
+        for _ in range(8):
+            b = similar_transform(r, r.choice(sources))
+            batch.append(b.to_order(2 * q) if r.random() < 0.3 else b)
+        polys = [charpoly_exact(b) for b in batch]
+        expected = []
+        for idx in range(len(batch)):
+            for cls in expected:
+                if poly_eq(polys[cls[0]], polys[idx]):
+                    cls.append(idx)
+                    break
+            else:
+                expected.append([idx])
+        assert classify(batch, "unitary") == expected
+        traces = [equivalence._trace(b) for b in batch]
+        tied_apart += sum(equivalence._same_trace(traces[i], traces[j])
+                          and not poly_eq(polys[i], polys[j])
+                          for i in range(len(batch)) for j in range(i))
+    assert tied_apart >= 100
 
 
 def test_unitary_dimension_mismatch():
@@ -183,22 +254,26 @@ def test_dimension_mismatch_rejected():
 
 
 def test_classify_unitary_counts(monkeypatch):
-    calls = []
-
-    def counting(b):
-        calls.append(b)
-        return charpoly_exact(b)
-
-    monkeypatch.setattr(equivalence, "charpoly_exact", counting)
-    for names, expected in (
-        (("A10", "A20", "A30", "A40", "A50", "A60"), [[0], [1], [2], [3], [4], [5]]),
-        (("A01", "A02", "A03"), [[0, 2], [1]]),
-        (("A1", "A2", "A3"), [[0, 1, 2]]),
+    calls = counting_charpolys(monkeypatch)
+    for names, expected, computed in (
+        # Six distinct traces: no polynomial at all.
+        (("A10", "A20", "A30", "A40", "A50", "A60"), [[0], [1], [2], [3], [4], [5]], []),
+        # A02's trace is its own; A01 and A03 are one grid.
+        (("A01", "A02", "A03"), [[0, 2], [1]], [0, 2]),
+        (("A1", "A2", "A3"), [[0, 1, 2]], [0, 1, 2]),
     ):
         calls.clear()
-        mats = [catalog.get(n) for n in names]
+        # Distinct objects, so each call names its matrix by identity.
+        mats = [ButsonMatrix(m.q, m.exponents) for m in map(catalog.get, names)]
         assert classify(mats, "unitary") == expected
-        assert calls == mats  # one polynomial per matrix, none recomputed
+        called = [next(i for i, m in enumerate(mats) if m is b) for b in calls]
+        assert called == computed
+        # At most one polynomial per matrix, and none for a matrix whose
+        # trace no other matrix of the batch shares.
+        traces = [equivalence._trace(m) for m in mats]
+        tied = {i for i in range(len(mats)) for j in range(len(mats))
+                if i != j and equivalence._same_trace(traces[i], traces[j])}
+        assert len(set(called)) == len(called) and set(called) <= tied
 
 
 def test_classify_standard(monkeypatch):
@@ -441,17 +516,113 @@ def test_one_changed_row_is_an_exhaustive_miss(reference_standard):
     assert verdict == reference_standard(a, b, prescreen=False)
 
 
+def row_masks(a, b, p):
+    """The row masks of pivot p of b against a, as the walk builds them."""
+    by_row = equivalence._row_profiles(dephase(a)[0].exponents, a.q)
+    return equivalence._row_masks(equivalence._pivoted(b.exponents, p, b.q), by_row, b.q)[0]
+
+
 def full_row_mask_pivots(a, b):
     """Pivots p of b for which masks[i][s] is full for all i >= 1 and s != p."""
-    by_row = equivalence._profiles(dephase(a)[0].exponents, 0, a.q)
     n, full = a.n, (1 << a.n) - 1
     pivots = []
     for p in range(n):
-        _, groups = equivalence._dephased_rows(b.exponents, p, b.q)
-        masks = equivalence._masks(groups, by_row)
+        masks = row_masks(a, b, p)
         if all(masks[i][s] == full for i in range(1, n) for s in range(n) if s != p):
             pivots.append(p)
     return pivots
+
+
+def tuple_row_masks(a, b, p):
+    """The row masks of pivot p keyed by sorted tuples, as sparse grids key them."""
+    by_row = equivalence._profiles(dephase(a)[0].exponents, 0, a.q)
+    _, groups = equivalence._dephased_rows(equivalence._pivoted(b.exponents, p, b.q), b.q)
+    return equivalence._masks(groups, by_row)
+
+
+def mask_pairs(n, q, r):
+    """Pairs (a, b) at one order q: random grids, a random transform of a
+    (at q/2, lifted, when q is even) and a with a repeated row."""
+    pairs = []
+    for _ in range(2):
+        a = random_grid(r, n, q)
+        pairs += [(a, random_grid(r, n, q)), (a, random_transform(r, a)),
+                  (a, repeated_row_copy(a))]
+        if q % 2 == 0:
+            half = random_grid(r, n, q // 2)
+            pairs.append((half.to_order(q), random_transform(r, half, lift=2)))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_packed_row_masks_match_the_tuple_table(n):
+    r = random.Random(n)
+    checked = 0
+    for q in sorted({2, 3, 4, 6, 12, 24, n * n}):
+        if q > n * n:
+            continue
+        for a, b in mask_pairs(n, q, r):
+            by_row = equivalence._row_profiles(dephase(a)[0].exponents, q)
+            for p in range(n):
+                us = equivalence._pivoted(b.exponents, p, q)
+                masks, table = equivalence._row_masks(us, by_row, q)
+                assert table is None  # dense: no tuple is built at a pivot
+                assert masks == tuple_row_masks(a, b, p), (n, q, a, b, p)
+                checked += 1
+    # Repeated-row copies of Butson Hadamard matrices: full masks.
+    for a in {6: [catalog.get("A1"), catalog.get("F6")], 7: [fourier(7)],
+              8: [sylvester(3)]}.get(n, []):
+        b = repeated_row_copy(a)
+        for p in range(n):
+            assert row_masks(a, b, p) == tuple_row_masks(a, b, p)
+    assert checked >= 14 * n
+
+
+@pytest.mark.parametrize("n, q", [(4, 17), (6, 37), (4, 1 << 62), (6, 1 << 62)])
+def test_sparse_grids_take_the_tuple_path(n, q):
+    # Above q = n^2 the row masks are keyed by sorted tuples, and the tuple
+    # table built at the pivot is the one the leaves read.
+    r = random.Random(q % 1000)
+    a = random_grid(r, n, q)
+    target = dephase(a)[0].exponents
+    assert equivalence._row_profiles(target, q) == (None, equivalence._profiles(target, 0, q))
+    for b in (random_transform(r, a), repeated_row_copy(a)):
+        for p in range(n):
+            us = equivalence._pivoted(b.exponents, p, q)
+            masks, table = equivalence._row_masks(us, equivalence._row_profiles(target, q), q)
+            assert table == equivalence._dephased_rows(us, q)
+            assert masks == tuple_row_masks(a, b, p)
+
+
+def test_tuple_rows_and_pair_profiles_are_built_at_leaves_only(monkeypatch):
+    calls = {"rows": 0, "profiles": 0}
+    dephased_rows, profiles = equivalence._dephased_rows, equivalence._profiles
+
+    def counting_rows(us, q):
+        calls["rows"] += 1
+        return dephased_rows(us, q)
+
+    def counting_profiles(target, k, q):
+        calls["profiles"] += 1
+        return profiles(target, k, q)
+
+    monkeypatch.setattr(equivalence, "_dephased_rows", counting_rows)
+    monkeypatch.setattr(equivalence, "_profiles", counting_profiles)
+    a1, f6 = catalog.get("A1"), catalog.get("F6")
+    # C8: A1 against F6 without the prescreen prunes every prefix before a
+    # leaf, so no tuple row and no pair profile is built.
+    assert standard_equivalent(a1, f6, prescreen=False) == EquivVerdict(False, None, 720)
+    assert calls == {"rows": 0, "profiles": 0}
+    # A hit reaches a leaf under its first pivot: one table, one profile.
+    assert standard_equivalent(a1, a1).search_stats == 1
+    assert calls == {"rows": 1, "profiles": 1}
+    # A sparse grid builds its tuple table at every pivot it tries, and
+    # keys its target rows by tuples: one profile, with no leaf reached.
+    calls.update(rows=0, profiles=0)
+    r = random.Random(3)
+    x, y = random_grid(r, 4, 37), random_grid(r, 4, 37)
+    assert standard_equivalent(x, y, prescreen=False) == EquivVerdict(False, None, 24)
+    assert calls == {"rows": 4, "profiles": 1}
 
 
 def repeated_row_copy(a):
