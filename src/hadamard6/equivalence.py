@@ -245,10 +245,10 @@ def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdic
                 covered += leaves[k]
                 continue
         else:
-            us = _pivoted(eb, s, q)
+            pivoted = _pivoted(eb, s, q)
             # Target row 0 and the pivot row s dephase to zeros, so the
             # pivot's own row mask is full and h starts full.
-            row_masks, table = _row_masks(us, by_row, q)
+            row_masks, table = _row_masks(pivoted, by_row, q)
             h = (1 << n) - 1
         sigma[k] = s
         if k < n - 1:
@@ -261,7 +261,7 @@ def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdic
             nxt[k] = 0
             continue
         if table is None:
-            table = _dephased_rows(us, q)
+            table = _dephased_rows(pivoted, q)
         rows, groups = table
         if pair is None and n > 2:
             if by_pair is None:
@@ -313,9 +313,18 @@ def _profiles(target, k: int, q: int) -> dict[tuple, list[int]]:
     return found
 
 
-def _pivoted(eb, r: int, q: int) -> list[list[int]]:
-    """The rows of b minus its pivot row r, mod q: the u of _row_masks."""
-    return [[(x - y) % q for x, y in zip(row, eb[r])] for row in eb]
+def _pivoted(eb, r: int, q: int):
+    """(us, cols): each row u of b minus its pivot row r, mod q, and the
+    columns of u grouped by value, {y: bitmask of the c0 with u[c0] = y}."""
+    us, cols = [], []
+    for row in eb:
+        u = [(x - y) % q for x, y in zip(row, eb[r])]
+        col: dict[int, int] = {}
+        for c0, y in enumerate(u):
+            col[y] = col.get(y, 0) | 1 << c0
+        us.append(u)
+        cols.append(col)
+    return us, cols
 
 
 def _row_profiles(target, q: int):
@@ -334,9 +343,9 @@ def _row_profiles(target, q: int):
     return at, found
 
 
-def _row_masks(us, profiles, q: int):
-    """(masks, table): the row masks (see _masks) of the rows us of b, each
-    taken minus the pivot row mod q, against profiles (see _row_profiles).
+def _row_masks(pivoted, profiles, q: int):
+    """(masks, table): the row masks (see _masks) of the rows of b under one
+    pivot (see _pivoted) against profiles (see _row_profiles).
 
     On a dense grid row s is packed once, P = sum_j X^u_j, and the multiset
     of u - u[c0] is P rotated down by u[c0] digits, so each distinct value
@@ -346,38 +355,32 @@ def _row_masks(us, profiles, q: int):
     """
     at, by_row = profiles
     if at is None:
-        table = _dephased_rows(us, q)
+        table = _dephased_rows(pivoted, q)
         return _masks(table[1], by_row), table
-    n = len(us)
+    n = len(pivoted[0])
     w = n.bit_length()
     bits = w * q
     full = (1 << bits) - 1
     masks = [[0] * n for _ in range(n)]
-    for s, u in enumerate(us):
+    for s, (u, col) in enumerate(zip(*pivoted)):
         packed = sum(map(at, u))
-        cols: dict[int, int] = {}
-        for c0, y in enumerate(u):
-            cols[y] = cols.get(y, 0) | 1 << c0
-        for y, m in cols.items():
+        for y, m in col.items():
             shift = w * y
             for i in by_row.get(packed >> shift | (packed << bits - shift) & full, ()):
                 masks[i][s] |= m
     return masks, None
 
 
-def _dephased_rows(us, q: int):
-    """(rows, groups) for the rows us of b, each minus the pivot row mod q:
+def _dephased_rows(pivoted, q: int):
+    """(rows, groups) for the rows of b under one pivot (see _pivoted):
     rows[s][c0] is row s dephased against column c0 too. Columns c0 holding
     the same value of row s share one tuple, and groups[s] lists each
     distinct tuple once with its bitmask of c0."""
     rows, groups = [], []
-    for u in us:
-        shifted = {y: tuple([(x - y) % q for x in u]) for y in set(u)}
-        bits = dict.fromkeys(shifted, 0)
-        for c0, y in enumerate(u):
-            bits[y] |= 1 << c0
+    for u, col in zip(*pivoted):
+        shifted = {y: tuple([(x - y) % q for x in u]) for y in col}
         rows.append([shifted[y] for y in u])
-        groups.append([(shifted[y], m) for y, m in bits.items()])
+        groups.append([(shifted[y], m) for y, m in col.items()])
     return rows, groups
 
 

@@ -564,8 +564,8 @@ def test_packed_row_masks_match_the_tuple_table(n):
         for a, b in mask_pairs(n, q, r):
             by_row = equivalence._row_profiles(dephase(a)[0].exponents, q)
             for p in range(n):
-                us = equivalence._pivoted(b.exponents, p, q)
-                masks, table = equivalence._row_masks(us, by_row, q)
+                pivoted = equivalence._pivoted(b.exponents, p, q)
+                masks, table = equivalence._row_masks(pivoted, by_row, q)
                 assert table is None  # dense: no tuple is built at a pivot
                 assert masks == tuple_row_masks(a, b, p), (n, q, a, b, p)
                 checked += 1
@@ -588,9 +588,9 @@ def test_sparse_grids_take_the_tuple_path(n, q):
     assert equivalence._row_profiles(target, q) == (None, equivalence._profiles(target, 0, q))
     for b in (random_transform(r, a), repeated_row_copy(a)):
         for p in range(n):
-            us = equivalence._pivoted(b.exponents, p, q)
-            masks, table = equivalence._row_masks(us, equivalence._row_profiles(target, q), q)
-            assert table == equivalence._dephased_rows(us, q)
+            pivoted = equivalence._pivoted(b.exponents, p, q)
+            masks, table = equivalence._row_masks(pivoted, equivalence._row_profiles(target, q), q)
+            assert table == equivalence._dephased_rows(pivoted, q)
             assert masks == tuple_row_masks(a, b, p)
 
 
@@ -598,9 +598,9 @@ def test_tuple_rows_and_pair_profiles_are_built_at_leaves_only(monkeypatch):
     calls = {"rows": 0, "profiles": 0}
     dephased_rows, profiles = equivalence._dephased_rows, equivalence._profiles
 
-    def counting_rows(us, q):
+    def counting_rows(pivoted, q):
         calls["rows"] += 1
-        return dephased_rows(us, q)
+        return dephased_rows(pivoted, q)
 
     def counting_profiles(target, k, q):
         calls["profiles"] += 1
