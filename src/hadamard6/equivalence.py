@@ -54,10 +54,11 @@ instead of answering.
 from __future__ import annotations
 
 import math
+from functools import cache
 from operator import add
 
 from .cyclo import CycInt
-from .invariants import CharPoly, _haagerup_sum, _packed_keys, charpoly_exact, poly_eq, row_keys
+from .invariants import _haagerup_sum, _packed_keys, charpoly_exact, poly_eq, row_keys
 from .matrices import ButsonMatrix, PhaseVector, Record, _dephased_exponents, _transformed
 
 
@@ -457,13 +458,7 @@ def classify(mats, relation: str) -> list[list[int]]:
         # Trace first: a matrix's polynomial is computed once, and only when
         # its trace ties with the trace it is compared against.
         traces = [_trace(m) for m in mats]
-        polys: dict[int, CharPoly] = {}
-
-        def poly(i: int) -> CharPoly:
-            if i not in polys:
-                polys[i] = charpoly_exact(mats[i])
-            return polys[i]
-
+        poly = cache(lambda i: charpoly_exact(mats[i]))
         related = lambda i, j: (_same_trace(traces[i], traces[j])
                                 and poly_eq(poly(i), poly(j)))
     elif relation == "standard":
