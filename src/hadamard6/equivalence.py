@@ -29,8 +29,9 @@ distinct value of the row costs one rotation and one lookup among the
 target rows, packed alike, and no tuple is built or sorted. The tuples of
 dephased rows, which the pair masks and the exact test read, are built from
 the same u only for a pivot whose prefix reaches a leaf, and the target's
-pair profiles at the first leaf of the search; a sparse grid keys its row
-masks by those tuples from the start.
+pair profiles at the first leaf that reads them; a sparse grid keys its row
+masks by those tuples from the start. The choice is made once per target
+(_row_masker).
 
 With the prescreen on, rows are also coloured by their keys
 (invariants.row_keys): the Haagerup pair multisets of each row with every
@@ -44,7 +45,8 @@ agree. Otherwise the walk tries as sigma(k) only rows of b with the key of
 row k, so pivots of another colour build no masks. With the prescreen off
 the walk runs on the masks alone, as described above. classify lifts the
 batch to one root order, keys each matrix once and searches only pairs with
-equal key multisets, with the same colours.
+equal key multisets, with the same colours; the target side of a walk
+(_Target) is built once per class.
 
 Each search is bounded by SEARCH_BUDGET nodes, the exact tests at the
 leaves included; a search that spends it raises SearchBudgetExceeded
@@ -171,7 +173,7 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
 
     Row permutations sigma are walked depth first, as prefixes
     sigma[0..k] in itertools order. The row masks of pivot sigma[0] are
-    built once per pivot (see _row_masks), and its tuple rows and the pair
+    built once per pivot (see _row_masker), and its tuple rows and the pair
     masks of sigma[1] (see _masks) the first time a row-mask chain under it
     reaches a leaf with first columns c0 left; from then on the pair masks
     are ANDed at every depth of that subtree. A prefix whose last row has
@@ -189,12 +191,12 @@ def standard_equivalent(b1: ButsonMatrix, b2: ButsonMatrix, prescreen: bool = Tr
     a, b = _common_order([b1, b2])
     n = a.n
     if not prescreen:
-        return _search(a, b, [(1 << n) - 1] * n)
+        return _search(_Target(a), b, [(1 << n) - 1] * n)
     ka, kb = row_keys(a), row_keys(b)
     if sorted(ka) != sorted(kb):
         refuted = _haagerup_sum(n, a.q, ka) != _haagerup_sum(n, a.q, kb)
         return EquivVerdict(False, None, 0 if refuted else math.factorial(n))
-    return _search(a, b, _colours(ka, kb))
+    return _search(_Target(a), b, _colours(ka, kb))
 
 
 def _colours(ka: list[tuple], kb: list[tuple]) -> list[int]:
@@ -205,14 +207,29 @@ def _colours(ka: list[tuple], kb: list[tuple]) -> list[int]:
     return [rows_of.get(key, 0) for key in ka]
 
 
-def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdict:
-    """The depth-first walk of standard_equivalent over a and b, both at one
-    order q, with sigma[k] among the rows set in colours[k]."""
+class _Target:
+    """The target side of a walk, built once per target grid a: a dephased
+    (rows), its columns 1..n-1 (cols) and their sorted list (want), the row
+    masks of a pivot against a (row_masks, see _row_masker) and a's pair
+    profiles (pairs, see _profiles), built at the first leaf that reads them."""
+
+    __slots__ = ("a", "rows", "cols", "want", "row_masks", "pairs")
+
+    def __init__(self, a: ButsonMatrix) -> None:
+        q = a.q
+        self.a = a
+        self.rows = rows = _dephased_exponents(a.exponents, q)
+        self.cols = list(zip(*rows[1:]))
+        self.want = sorted(self.cols)
+        self.row_masks = _row_masker(rows, q)
+        self.pairs = cache(lambda: _profiles(rows, 1, q))
+
+
+def _search(t: _Target, b: ButsonMatrix, colours: list[int]) -> EquivVerdict:
+    """The depth-first walk of standard_equivalent over t.a and b, both at
+    one order q, with sigma[k] among the rows set in colours[k]."""
+    a = t.a
     n, q = a.n, a.q
-    target = _dephased_exponents(a.exponents, q)
-    by_row, by_pair = _row_profiles(target, q), None
-    target_cols = list(zip(*target[1:]))
-    want = sorted(target_cols)
     limit = SEARCH_BUDGET
     eb = b.exponents
     # leaves[k]: row permutations under a prefix sigma[0..k].
@@ -249,7 +266,7 @@ def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdic
             pivoted = _pivoted(eb, s, q)
             # Target row 0 and the pivot row s dephase to zeros, so the
             # pivot's own row mask is full and h starts full.
-            row_masks, table = _row_masks(pivoted, by_row, q)
+            row_masks, table = t.row_masks(pivoted)
             h = (1 << n) - 1
         sigma[k] = s
         if k < n - 1:
@@ -261,20 +278,18 @@ def _search(a: ButsonMatrix, b: ButsonMatrix, colours: list[int]) -> EquivVerdic
             nodes += n - k
             nxt[k] = 0
             continue
-        if table is None:
+        if table is None:  # the first leaf under this pivot
             table = _dephased_rows(pivoted, q)
         rows, groups = table
         if pair is None and n > 2:
-            if by_pair is None:
-                by_pair = _profiles(target, 1, q)
-            pair = _masks(groups, by_pair, sigma[1], q)
+            pair = _masks(groups, t.pairs(), sigma[1], q)
             for i in range(2, n):
                 h &= pair[i][sigma[i]]
         tests = h.bit_count()
         if nodes + tests > limit:
             raise SearchBudgetExceeded(nodes, covered)
         nodes += tests
-        tau = _exact(rows, sigma, h, target_cols, want)
+        tau = _exact(rows, sigma, h, t.cols, t.want)
         if tau:
             witness = _build_witness(a, b, tuple(sigma), tau, q)
             if apply_witness(witness, b) != a:
@@ -328,48 +343,52 @@ def _pivoted(eb, r: int, q: int):
     return us, cols
 
 
-def _row_profiles(target, q: int):
-    """(at, keys): the target rows keyed as _row_masks reads them. On a
-    sparse grid at is None and keys is _profiles(target, 0, q); on a dense
-    one, q <= n^2 as in invariants.row_keys, at(x) = X^x with X = 2^w, and
-    each row is keyed by its exponent multiset packed into one integer,
-    sum_j X^target[i][j]. A digit of w bits holds any count up to n."""
+def _row_masker(target, q: int):
+    """The row-mask builder of a walk against target, chosen once by the
+    order: a function from a pivot (see _pivoted) to (masks, table), masks
+    as _masks builds them.
+
+    A dense grid, q <= n^2 as in invariants.row_keys, keys each target row
+    by its exponent multiset packed into one integer, sum_j X^target[i][j]
+    with X = 2^w, and packs row s of b once, P = sum_j X^u_j; the multiset
+    of u - u[c0] is P rotated down by u[c0] digits, so each distinct value
+    of the row costs one rotation and one lookup, and table is None. A digit
+    of w bits holds any count up to n. A sparse grid keys the sorted tuples
+    of _dephased_rows, and table is that (rows, groups).
+
+    The rule is the one row_keys uses, not the crossover of the masks:
+    with either path forced, packed masks made prescreen-off walks 1.5 to
+    2.5 times as fast as tuples for n^2 < q <= 4n^2 at n = 4, 6 and 8, and
+    broke even near q = 16n^2 to 36n^2 (random pairs and random transforms,
+    2-core x86-64, Python 3.11). Tuples stay for orders where a packed row,
+    wq bits, is too wide to pay, such as q = 2^62.
+    """
     n = len(target)
     if not _packed_keys(n, q):
-        return None, _profiles(target, 0, q)
-    at = [1 << n.bit_length() * x for x in range(q)].__getitem__
-    found: dict[int, list[int]] = {}
-    for i, row in enumerate(target):
-        found.setdefault(sum(map(at, row)), []).append(i)
-    return at, found
+        by_tuple = _profiles(target, 0, q)
 
-
-def _row_masks(pivoted, profiles, q: int):
-    """(masks, table): the row masks (see _masks) of the rows of b under one
-    pivot (see _pivoted) against profiles (see _row_profiles).
-
-    On a dense grid row s is packed once, P = sum_j X^u_j, and the multiset
-    of u - u[c0] is P rotated down by u[c0] digits, so each distinct value
-    of the row costs one rotation and one lookup. table is then None; a
-    sparse grid keys the sorted tuples of _dephased_rows, and table is that
-    (rows, groups).
-    """
-    at, by_row = profiles
-    if at is None:
-        table = _dephased_rows(pivoted, q)
-        return _masks(table[1], by_row), table
-    n = len(pivoted[0])
+        def tuple_masks(pivoted):
+            table = _dephased_rows(pivoted, q)
+            return _masks(table[1], by_tuple), table
+        return tuple_masks
     w = n.bit_length()
     bits = w * q
     full = (1 << bits) - 1
-    masks = [[0] * n for _ in range(n)]
-    for s, (u, col) in enumerate(zip(*pivoted)):
-        packed = sum(map(at, u))
-        for y, m in col.items():
-            shift = w * y
-            for i in by_row.get(packed >> shift | (packed << bits - shift) & full, ()):
-                masks[i][s] |= m
-    return masks, None
+    at = [1 << w * x for x in range(q)].__getitem__
+    by_packed: dict[int, list[int]] = {}
+    for i, row in enumerate(target):
+        by_packed.setdefault(sum(map(at, row)), []).append(i)
+
+    def packed_masks(pivoted):
+        masks = [[0] * n for _ in range(n)]
+        for s, (u, col) in enumerate(zip(*pivoted)):
+            packed = sum(map(at, u))
+            for y, m in col.items():
+                shift = w * y
+                for i in by_packed.get(packed >> shift | (packed << bits - shift) & full, ()):
+                    masks[i][s] |= m
+        return masks, None
+    return packed_masks
 
 
 def _dephased_rows(pivoted, q: int):
@@ -464,12 +483,15 @@ def classify(mats, relation: str) -> list[list[int]]:
     elif relation == "standard":
         # Each matrix is lifted to the batch's common order and keyed once;
         # only pairs with equal multisets of row keys are searched, with the
-        # rows coloured by their keys as in standard_equivalent.
+        # rows coloured by their keys as in standard_equivalent. A class's
+        # first member is the target of every search against it, and its
+        # target side is built once.
         mats = _common_order(mats)
         keys = [row_keys(m) for m in mats]
         key_sets = [sorted(k) for k in keys]
+        target = cache(lambda i: _Target(mats[i]))
         related = lambda i, j: (key_sets[i] == key_sets[j] and _search(
-            mats[i], mats[j], _colours(keys[i], keys[j])).equivalent)
+            target(i), mats[j], _colours(keys[i], keys[j])).equivalent)
     else:
         raise ValueError("relation must be 'standard' or 'unitary'")
     return _partition(len(mats), related)

@@ -283,7 +283,10 @@ def test_classify_standard(monkeypatch):
         calls.append(b)
         return row_keys(b)
 
+    targets = []
+    target_of = equivalence._Target
     monkeypatch.setattr(equivalence, "row_keys", counting)
+    monkeypatch.setattr(equivalence, "_Target", lambda a: targets.append(a) or target_of(a))
     mats = [catalog.get(n) for n in ("A1", "A2", "A3", "F6")]
     # F6 has different row keys, so it lands alone.
     f6_at_order = mats[3]
@@ -291,11 +294,15 @@ def test_classify_standard(monkeypatch):
     classes = classify(batch, "standard")
     assert classes == [[0, 1, 2], [3]]
     assert calls == batch  # one set of row keys per matrix, none recomputed
+    # A2 and A3 are both searched against A1, whose target side is built once.
+    assert targets == [batch[0]]
     # Mixed root orders are keyed once each, lifted to their common order.
     mixed = [mats[0], mats[1].to_order(6), mats[2], mats[3]]
     calls.clear()
+    targets.clear()
     assert classify(mixed, "standard") == [[0, 1, 2], [3]]
     assert calls == [m.to_order(6) for m in mixed]
+    assert targets == [mixed[0].to_order(6)]
 
 
 def test_classify_rejects_mixed_dimensions(monkeypatch):
@@ -518,8 +525,8 @@ def test_one_changed_row_is_an_exhaustive_miss(reference_standard):
 
 def row_masks(a, b, p):
     """The row masks of pivot p of b against a, as the walk builds them."""
-    by_row = equivalence._row_profiles(dephase(a)[0].exponents, a.q)
-    return equivalence._row_masks(equivalence._pivoted(b.exponents, p, b.q), by_row, b.q)[0]
+    row_masker = equivalence._row_masker(dephase(a)[0].exponents, a.q)
+    return row_masker(equivalence._pivoted(b.exponents, p, b.q))[0]
 
 
 def full_row_mask_pivots(a, b):
@@ -562,10 +569,10 @@ def test_packed_row_masks_match_the_tuple_table(n):
         if q > n * n:
             continue
         for a, b in mask_pairs(n, q, r):
-            by_row = equivalence._row_profiles(dephase(a)[0].exponents, q)
+            row_masker = equivalence._row_masker(dephase(a)[0].exponents, q)
             for p in range(n):
                 pivoted = equivalence._pivoted(b.exponents, p, q)
-                masks, table = equivalence._row_masks(pivoted, by_row, q)
+                masks, table = row_masker(pivoted)
                 assert table is None  # dense: no tuple is built at a pivot
                 assert masks == tuple_row_masks(a, b, p), (n, q, a, b, p)
                 checked += 1
@@ -584,12 +591,11 @@ def test_sparse_grids_take_the_tuple_path(n, q):
     # table built at the pivot is the one the leaves read.
     r = random.Random(q % 1000)
     a = random_grid(r, n, q)
-    target = dephase(a)[0].exponents
-    assert equivalence._row_profiles(target, q) == (None, equivalence._profiles(target, 0, q))
+    row_masker = equivalence._row_masker(dephase(a)[0].exponents, q)
     for b in (random_transform(r, a), repeated_row_copy(a)):
         for p in range(n):
             pivoted = equivalence._pivoted(b.exponents, p, q)
-            masks, table = equivalence._row_masks(pivoted, equivalence._row_profiles(target, q), q)
+            masks, table = row_masker(pivoted)
             assert table == equivalence._dephased_rows(pivoted, q)
             assert masks == tuple_row_masks(a, b, p)
 
