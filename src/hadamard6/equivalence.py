@@ -211,18 +211,19 @@ class _Target:
     """The target side of a walk, built once per target grid a: a dephased
     (rows), its columns 1..n-1 (cols) and their sorted list (want), the row
     masks of a pivot against a (row_masks, see _row_masker) and a's pair
-    profiles (pairs, see _profiles), built at the first leaf that reads them."""
+    profiles (pairs, see _profiles), which the walk builds at the first leaf
+    that reads them."""
 
     __slots__ = ("a", "rows", "cols", "want", "row_masks", "pairs")
 
     def __init__(self, a: ButsonMatrix) -> None:
         q = a.q
         self.a = a
-        self.rows = rows = _dephased_exponents(a.exponents, q)
-        self.cols = list(zip(*rows[1:]))
+        self.rows = _dephased_exponents(a.exponents, q)
+        self.cols = list(zip(*self.rows[1:]))
         self.want = sorted(self.cols)
-        self.row_masks = _row_masker(rows, q)
-        self.pairs = cache(lambda: _profiles(rows, 1, q))
+        self.row_masks = _row_masker(self.rows, q)
+        self.pairs = None
 
 
 def _search(t: _Target, b: ButsonMatrix, colours: list[int]) -> EquivVerdict:
@@ -282,7 +283,9 @@ def _search(t: _Target, b: ButsonMatrix, colours: list[int]) -> EquivVerdict:
             table = _dephased_rows(pivoted, q)
         rows, groups = table
         if pair is None and n > 2:
-            pair = _masks(groups, t.pairs(), sigma[1], q)
+            if t.pairs is None:
+                t.pairs = _profiles(t.rows, 1, q)
+            pair = _masks(groups, t.pairs, sigma[1], q)
             for i in range(2, n):
                 h &= pair[i][sigma[i]]
         tests = h.bit_count()
