@@ -360,10 +360,11 @@ def _row_masker(target, q: int):
     of _dephased_rows, and table is that (rows, groups).
 
     The rule is the one row_keys uses, not the crossover of the masks:
-    with either path forced, packed masks made prescreen-off walks 1.5 to
-    2.5 times as fast as tuples for n^2 < q <= 4n^2 at n = 4, 6 and 8, and
-    broke even near q = 16n^2 to 36n^2 (random pairs and random transforms,
-    2-core x86-64, Python 3.11). Tuples stay for orders where a packed row,
+    with either path forced, prescreen-off walks ran 1.5 to 2.5 times as
+    fast on packed masks as on tuples for misses (random pairs) and 1.0 to
+    1.7 times for hits (random transforms) at n^2 < q <= 4n^2, n = 4, 6 and
+    8; hits broke even near q = 16n^2, misses between 16n^2 and 64n^2
+    (2-core x86-64, Python 3.11). Tuples stay for orders where a packed row,
     wq bits, is too wide to pay, such as q = 2^62.
     """
     n = len(target)
