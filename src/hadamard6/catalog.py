@@ -22,12 +22,8 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import TYPE_CHECKING
 
 from .matrices import ButsonMatrix, Record, dephase
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Three-parameter template behind the A-family: each letter x, y, z takes one
 # of the values 1, w, w^2.

@@ -9,10 +9,9 @@ of its node budget.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import catalog
 from .cyclo import group_ring_mul
@@ -93,6 +92,7 @@ def _resolve_exact(source: str) -> tuple[str, ButsonMatrix]:
 
 def _emit(args, payload: dict, plain: str) -> None:
     if args.json:
+        import json
         print(json.dumps(payload, indent=2))
     else:
         print(plain, end="" if plain.endswith("\n") else "\n")
@@ -410,58 +410,86 @@ def cmd_report(args) -> int:
     return 1 if any(c.status == REFUTED for c in claims) else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hadamard6",
-        description="Exact toolkit for the 6x6 Butson-type Hadamard catalog",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's handler, help line and positionals, a positional mapping
+# to its choices or None; the one ending in "?" is optional. Every subcommand
+# also takes --json, and verify takes --tol FLOAT.
+COMMANDS = {
+    "catalog": (cmd_catalog, "list the catalog or show one matrix",
+                {"action": ("list", "show"), "name?": None}),
+    "verify": (cmd_verify, "Hadamard verdict (exact for BH, numeric for C)", {"matrix": None}),
+    "charpoly": (cmd_charpoly, "exact scaled characteristic polynomial", {"matrix": None}),
+    "spectrum": (cmd_spectrum, "numeric spectrum with multiplicities", {"matrix": None}),
+    "dephase": (cmd_dephase, "standard form plus reconstructing phases", {"matrix": None}),
+    "defect": (cmd_defect, "first-order deformation defect (exact)", {"matrix": None}),
+    "equiv": (cmd_equiv, "decide equivalence of two matrices",
+              {"mode": ("standard", "unitary"), "matrix1": None, "matrix2": None}),
+    "report": (cmd_report, "audit every published claim", {}),
+}
 
-    p = sub.add_parser("catalog", help="list the catalog or show one matrix")
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("name", nargs="?", help="catalog name (for 'show')")
-    p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("verify", help="Hadamard verdict (exact for BH, numeric for C)")
-    p.add_argument("matrix", help="catalog name, file path, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_verify)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: hadamard6 [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = [command, "[-h] [--json]"] + ["[--tol FLOAT]"] * (command == "verify")
+    for name, choices in COMMANDS[command][2].items():
+        word = "{" + ",".join(choices) + "}" if choices else name.rstrip("?")
+        words.append(f"[{word}]" if name.endswith("?") else word)
+    return "usage: hadamard6 " + " ".join(words)
 
-    p = sub.add_parser("charpoly", help="exact scaled characteristic polynomial")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_charpoly)
 
-    p = sub.add_parser("spectrum", help="numeric spectrum with multiplicities")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_spectrum)
+def _fail(command: str | None, message: str):
+    print(f"{_usage(command)}\nhadamard6: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("dephase", help="standard form plus reconstructing phases")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_dephase)
 
-    p = sub.add_parser("defect", help="first-order deformation defect (exact)")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_defect)
-
-    p = sub.add_parser("equiv", help="decide equivalence of two matrices")
-    p.add_argument("mode", choices=["standard", "unitary"])
-    p.add_argument("matrix1")
-    p.add_argument("matrix2")
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("report", help="audit every published claim")
-    p.set_defaults(func=cmd_report)
-
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true")
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Parse argv against COMMANDS: -h or --help prints help and exits 0, a
+    usage error prints the usage line and the error and exits 2."""
+    if argv and argv[0] in ("-h", "--help"):
+        print(_usage(None), "", "Exact toolkit for the 6x6 Butson-type Hadamard catalog", "",
+              *(f"  {name:10s}{entry[1]}" for name, entry in COMMANDS.items()), sep="\n")
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {argv[0]!r} (choose from "
+                    f"{', '.join(map(repr, COMMANDS))})" if argv else
+                    "the following arguments are required: command")
+    command, rest = argv[0], iter(argv[1:])
+    handler, help_line, positionals = COMMANDS[command]
+    args = SimpleNamespace(command=command, func=handler, json=False, tol=1e-10)
+    values, unknown = [], []
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            print(f"{_usage(command)}\n\n{help_line}")
+            raise SystemExit(0)
+        if arg == "--json":
+            args.json = True
+        elif command == "verify" and arg.partition("=")[0] == "--tol":
+            value = arg[6:] if "=" in arg else next(rest, None)
+            try:
+                args.tol = float(value)
+            except (TypeError, ValueError):
+                _fail(command, "argument --tol: " + ("expected one argument" if value is None
+                                                     else f"invalid float value: {value!r}"))
+        else:
+            (unknown if arg.startswith("-") and arg != "-" else values).append(arg)
+    names = list(positionals)
+    missing = [name for name in names[len(values):] if not name.endswith("?")]
+    unknown += values[len(names):]
+    if missing or unknown:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}"
+              if missing else "unrecognized arguments: " + " ".join(unknown))
+    for name, value in zip(names, values + [None]):
+        if positionals[name] and value not in positionals[name]:
+            _fail(command, f"argument {name}: invalid choice: {value!r} (choose from "
+                           f"{', '.join(map(repr, positionals[name]))})")
+        setattr(args, name.rstrip("?"), value)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if args.command == "catalog" and (args.action == "show") != (args.name is not None):
-        parser.error("catalog show needs a name, and catalog list takes none")
+        _fail("catalog", "catalog show needs a name, and catalog list takes none")
     try:
         return args.func(args)
     except ConvergenceError as exc:

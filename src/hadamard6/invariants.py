@@ -31,13 +31,9 @@ import math
 from collections import Counter
 from itertools import combinations, permutations
 from operator import lshift, mul, sub
-from typing import TYPE_CHECKING
 
 from .cyclo import CycInt, _fold, _prime_ideals, _unpack, _width, euler_phi
 from .matrices import ButsonMatrix, Record, _divided_order, _own_order, is_hadamard_exact
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ConvergenceError(RuntimeError):

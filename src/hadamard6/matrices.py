@@ -17,12 +17,8 @@ from __future__ import annotations
 
 import math
 from operator import index
-from typing import TYPE_CHECKING
 
 from .cyclo import CycInt
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest accepted root order, the bound the BH text format documents.
 # Exponents are Python ints everywhere, so this is an input limit, not an

@@ -540,3 +540,78 @@ def test_claim_record_refuses_missing_counter_value(status):
     with pytest.raises(ValueError, match="counter-value"):
         cli.ClaimRecord("C1", "A1 is Hadamard", "", status)
     assert cli.ClaimRecord("C1", "A1 is Hadamard", "", cli.CONFIRMED).computed == ""
+
+
+# --- command-line syntax -----------------------------------------------------
+
+SUBCOMMANDS = ("catalog", "verify", "charpoly", "spectrum", "dephase", "defect", "equiv",
+               "report")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_subcommand(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["verify"], ["equiv", "standard", "A1"], ["verify", "A1", "A2"],
+    ["catalog", "view"], ["equiv", "similar", "A1", "A2"], ["verify", "A1", "--tol"],
+    ["verify", "A1", "--tol", "abc"], ["charpoly", "A1", "--tol", "1"],
+    ["verify", "A1", "--frob"],
+], ids=["no-subcommand", "unknown-subcommand", "missing-positional", "missing-second",
+        "extra-positional", "bad-catalog-choice", "bad-equiv-choice", "tol-without-number",
+        "tol-not-a-number", "tol-elsewhere", "unknown-option"])
+def test_usage_errors_exit_2_with_a_usage_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
+
+
+def test_options_go_before_or_after_the_positionals(capsys, tmp_path):
+    # M6 with one entry moved by 1e-6: Hadamard within 1e-3, not within 1e-10.
+    m6 = complex_grid(catalog.get("M6"))
+    m6[2][3] *= cmath.exp(1e-6j)
+    path = str(tmp_path / "m.txt")
+    Path(path).write_text(format_matrix(m6))
+    strict = '{\n  "name": "%s",\n  "hadamard": false,\n  "method": "numeric"\n}\n' % path
+    loose = strict.replace("false", "true")
+    for argv, out in ((["--json", path], strict), ([path, "--json"], strict),
+                      (["--tol", "1e-3", "--json", path], loose),
+                      (["--json", path, "--tol", "1e-3"], loose),
+                      ([path, "--tol=1e-3", "--json"], loose)):
+        assert run(capsys, "verify", *argv) == (1 if out is strict else 0, out), argv
+    assert run(capsys, "equiv", "--json", "unitary", "A01", "A03") == \
+        run(capsys, "equiv", "unitary", "A01", "A03", "--json")
+
+
+def test_a_dash_is_the_stdin_positional(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_matrix(catalog.get("A1"))))
+    assert run(capsys, "equiv", "--json", "unitary", "-", "A1") == \
+        (0, '{\n  "equiv": {\n    "mode": "unitary",\n    "equivalent": true,\n'
+            '    "witness": null\n  }\n}\n')
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["catalog", "list"], ()),
+    (["report", "--json"], ("json",)),
+], ids=["catalog-list", "report-json"])
+def test_start_up_loads_no_parser_or_typing_module(argv, allowed):
+    # -S keeps site from preloading modules, so every module named here that
+    # shows up was loaded by hadamard6 itself.
+    script = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        from hadamard6 import cli
+        assert cli.main(sys.argv[1:]) == 0
+        watched = ("argparse", "gettext", "locale", "typing", "json")
+        print(" ".join(m for m in watched if m in sys.modules and m not in before))
+    """)
+    proc = run_fresh(["-S", "-c", script, *argv], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == list(allowed)
