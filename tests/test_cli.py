@@ -555,16 +555,20 @@ def test_help_names_every_subcommand(capsys, flag):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert all(name in out for name in SUBCOMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["equiv", "standard", flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 @pytest.mark.parametrize("argv", [
     [], ["frobnicate"], ["verify"], ["equiv", "standard", "A1"], ["verify", "A1", "A2"],
     ["catalog", "view"], ["equiv", "similar", "A1", "A2"], ["verify", "A1", "--tol"],
     ["verify", "A1", "--tol", "abc"], ["charpoly", "A1", "--tol", "1"],
-    ["verify", "A1", "--frob"],
+    ["verify", "A1", "--frob"], ["report", "--js"],
 ], ids=["no-subcommand", "unknown-subcommand", "missing-positional", "missing-second",
         "extra-positional", "bad-catalog-choice", "bad-equiv-choice", "tol-without-number",
-        "tol-not-a-number", "tol-elsewhere", "unknown-option"])
+        "tol-not-a-number", "tol-elsewhere", "unknown-option", "abbreviated-option"])
 def test_usage_errors_exit_2_with_a_usage_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
