@@ -90,30 +90,20 @@ def _resolve_exact(source: str) -> tuple[str, ButsonMatrix]:
     return name, m
 
 
-def _emit(args, payload: dict, plain: str) -> None:
-    if args.json:
-        import json
-        print(json.dumps(payload, indent=2))
-    else:
-        print(plain, end="" if plain.endswith("\n") else "\n")
-
-
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple[int, dict, str]:
     if args.action == "list":
         entries = catalog.entries()
         payload = {"catalog": [{"name": e.name, "q": e.matrix.q, "n": e.matrix.n,
                                 "note": e.note} for e in entries]}
-        _emit(args, payload, "\n".join(
-            f"{e.name:4s} q={e.matrix.q} n={e.matrix.n}  {e.note}" for e in entries))
-        return 0
+        return 0, payload, "\n".join(
+            f"{e.name:4s} q={e.matrix.q} n={e.matrix.n}  {e.note}" for e in entries)
     b = catalog.get(args.name)
     payload = {"name": args.name, "q": b.q, "n": b.n,
                "matrix": [list(r) for r in b.exponents]}
-    _emit(args, payload, format_matrix(b))
-    return 0
+    return 0, payload, format_matrix(b)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict, str]:
     name, m = _resolve(args.matrix)
     if isinstance(m, ButsonMatrix):
         ok = is_hadamard_exact(m)
@@ -122,24 +112,21 @@ def cmd_verify(args) -> int:
         ok = is_hadamard_numeric(m, args.tol)
         method = "numeric"
     payload = {"name": name, "hadamard": ok, "method": method}
-    _emit(args, payload, f"hadamard: {str(ok).lower()} ({method})")
-    return 0 if ok else 1
+    return 0 if ok else 1, payload, f"hadamard: {str(ok).lower()} ({method})"
 
 
-def cmd_charpoly(args) -> int:
+def cmd_charpoly(args) -> tuple[int, dict, str]:
     name, b = _resolve_exact(args.matrix)
     p = charpoly_exact(b)
     payload = {"name": name, "q": p.q, "n": b.n,
                "charpoly": {"e": [list(c.coeffs) for c in p.e]}}
     lines = [f"scaled charpoly over the order-{p.q} ring "
              f"(x^k coefficient = e_k * {b.n}^(-({b.n}-k)/2)):"]
-    for k, c in enumerate(p.e):
-        lines.append(f"  e{k} = {c}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    lines += [f"  e{k} = {c}" for k, c in enumerate(p.e)]
+    return 0, payload, "\n".join(lines)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[int, dict, str]:
     name, b = _resolve_exact(args.matrix)
     spec = spectrum_numeric(charpoly_exact(b))
     payload = {"name": name, "q": b.q, "n": b.n,
@@ -148,61 +135,53 @@ def cmd_spectrum(args) -> int:
                    for v, m in spec.pairs
                ]}
     lines = [f"{_f(v.real)} {_f(v.imag)} x{m}" for v, m in spec.pairs]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return 0, payload, "\n".join(lines)
 
 
-def cmd_dephase(args) -> int:
+def cmd_dephase(args) -> tuple[int, dict, str]:
     name, b = _resolve_exact(args.matrix)
     d, left, right = dephase(b)
     payload = {"name": name, "q": b.q, "n": b.n,
                "matrix": [list(r) for r in d.exponents],
                "left": list(left.exps), "right": list(right.exps)}
-    plain = format_matrix(d) + \
+    text = format_matrix(d) + \
         "left: " + " ".join(map(str, left.exps)) + "\n" + \
         "right: " + " ".join(map(str, right.exps))
-    _emit(args, payload, plain)
-    return 0
+    return 0, payload, text
 
 
-def cmd_defect(args) -> int:
+def cmd_defect(args) -> tuple[int, dict, str]:
     name, b = _resolve_exact(args.matrix)
     cert = defect_certificate(b)
     payload = {"name": name, "q": b.q, "n": b.n, "defect": cert.defect,
                "rank": cert.rank, "primes": cert.primes}
-    _emit(args, payload, f"defect: {cert.defect}")
-    return 0
+    return 0, payload, f"defect: {cert.defect}"
 
 
-def _witness_payload(w) -> dict:
-    return {"row_perm": list(w.row_perm), "col_perm": list(w.col_perm),
-            "q": w.left.q, "left": list(w.left.exps), "right": list(w.right.exps)}
-
-
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> tuple[int, dict, str]:
     _, b1 = _resolve_exact(args.matrix1)
     _, b2 = _resolve_exact(args.matrix2)
     if args.mode == "unitary":
         eq = unitary_equivalent(b1, b2)
         payload = {"equiv": {"mode": "unitary", "equivalent": eq, "witness": None}}
-        _emit(args, payload, f"equivalent: {str(eq).lower()}")
-        return 0 if eq else 1
+        return 0 if eq else 1, payload, f"equivalent: {str(eq).lower()}"
     verdict = standard_equivalent(b1, b2)
+    w = verdict.witness
+    witness = {"row_perm": list(w.row_perm), "col_perm": list(w.col_perm), "q": w.left.q,
+               "left": list(w.left.exps), "right": list(w.right.exps)} if w else None
     payload = {"equiv": {
         "mode": "standard",
         "equivalent": verdict.equivalent,
-        "witness": _witness_payload(verdict.witness) if verdict.witness else None,
+        "witness": witness,
         "row_perms_examined": verdict.search_stats,
     }}
+    # The text lines read row_perm:, col_perm:, left: and right: padded to
+    # six characters, so the values of left and right line up.
     lines = [f"equivalent: {str(verdict.equivalent).lower()}"]
-    if verdict.witness:
-        w = verdict.witness
-        lines.append("row_perm: " + " ".join(map(str, w.row_perm)))
-        lines.append("col_perm: " + " ".join(map(str, w.col_perm)))
-        lines.append("left:  " + " ".join(map(str, w.left.exps)))
-        lines.append("right: " + " ".join(map(str, w.right.exps)))
-    _emit(args, payload, "\n".join(lines))
-    return 0 if verdict.equivalent else 1
+    if witness:
+        lines += [f"{key + ':':6} " + " ".join(map(str, witness[key]))
+                  for key in ("row_perm", "col_perm", "left", "right")]
+    return 0 if verdict.equivalent else 1, payload, "\n".join(lines)
 
 
 # --- claim audit -----------------------------------------------------------
@@ -226,10 +205,9 @@ def _claim_hadamard() -> ClaimRecord:
         f"transcribed readings for {', '.join(sorted(disputed))} fail orthogonality and were "
         f"replaced by the derived grids (A2 from diagonal-normalizing A02, A40 from the template)"
     )
-    if bad or not ones_fails:
-        return ClaimRecord("C1", "every catalog matrix is Hadamard",
-                           f"failing: {', '.join(bad) or 'all-ones passed'}", REFUTED)
     status = DISCREPANCY if (disputed and not any(disputed.values())) else CONFIRMED
+    if bad or not ones_fails:
+        computed, status = f"failing: {', '.join(bad) or 'all-ones passed'}", REFUTED
     return ClaimRecord("C1", "every catalog matrix is Hadamard", computed, status)
 
 
@@ -256,17 +234,15 @@ def _claim_m6_m61_standard() -> ClaimRecord:
 
 def _claim_variant_polys(polys: dict, classes: list[list[int]]) -> ClaimRecord:
     mismatched = [n for n in _VARIANTS if not poly_eq(polys[n], REFERENCE_SPECTRAL_FUNCTIONS[n])]
+    claim = "variant spectral functions match the reference displays and are distinct"
+    computed, status = "all six match the displays exactly; all 15 pairs distinct", CONFIRMED
     if len(classes) != len(_VARIANTS):
-        return ClaimRecord("C5", "the six variant spectral functions are pairwise distinct",
-                           "a pair of variants shares its polynomial", REFUTED)
-    if mismatched:
-        return ClaimRecord(
-            "C5", "variant spectral functions match the reference displays and are distinct",
-            f"pairwise distinct, but computed polynomials for {', '.join(mismatched)} differ "
-            "from the displays", DISCREPANCY)
-    return ClaimRecord(
-        "C5", "variant spectral functions match the reference displays and are distinct",
-        "all six match the displays exactly; all 15 pairs distinct", CONFIRMED)
+        claim = "the six variant spectral functions are pairwise distinct"
+        computed, status = "a pair of variants shares its polynomial", REFUTED
+    elif mismatched:
+        computed, status = (f"pairwise distinct, but computed polynomials for "
+                            f"{', '.join(mismatched)} differ from the displays", DISCREPANCY)
+    return ClaimRecord("C5", claim, computed, status)
 
 
 def _claim_dephased_collapse(classes: list[list[int]]) -> ClaimRecord:
@@ -393,12 +369,10 @@ def build_claims() -> list[ClaimRecord]:
     ]
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[int, dict, str]:
     claims = build_claims()
-    payload = {"claims": [
-        {"id": c.id, "claim": c.claim, "computed": c.computed, "status": c.status}
-        for c in claims
-    ]}
+    # Keys in __slots__ order (id, claim, computed, status), as report_golden.json has them.
+    payload = {"claims": [{key: getattr(c, key) for key in c.__slots__} for c in claims]}
     lines = ["# Claim audit", "", "| id | status | claim |", "|----|--------|-------|"]
     lines += [f"| {c.id} | {c.status} | {c.claim} |" for c in claims]
     lines.append("")
@@ -406,8 +380,7 @@ def cmd_report(args) -> int:
         lines.append(f"{c.id} [{c.status}]")
         lines.append(f"  claim:    {c.claim}")
         lines.append(f"  computed: {c.computed}")
-    _emit(args, payload, "\n".join(lines))
-    return 1 if any(c.status == REFUTED for c in claims) else 0
+    return 1 if any(c.status == REFUTED for c in claims) else 0, payload, "\n".join(lines)
 
 
 # Each subcommand's handler, help line and positionals, a positional mapping
@@ -488,11 +461,18 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Its handler returns (exit code, payload, text);
+    main prints the payload as JSON under --json and the text otherwise."""
     args = _parse(sys.argv[1:] if argv is None else argv)
     if args.command == "catalog" and (args.action == "show") != (args.name is not None):
         _fail("catalog", "catalog show needs a name, and catalog list takes none")
     try:
-        return args.func(args)
+        code, payload, text = args.func(args)
+        if args.json:
+            import json
+            text = json.dumps(payload, indent=2)
+        print(text.removesuffix("\n"))
+        return code
     except ConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

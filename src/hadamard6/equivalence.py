@@ -106,15 +106,9 @@ def apply_witness(w: Witness, b: ButsonMatrix) -> ButsonMatrix:
 
 
 def unitary_equivalent(b1: ButsonMatrix, b2: ButsonMatrix) -> bool:
-    """Equality of spectra of B/sqrt(n), tested exactly on scaled polynomials.
-
-    Trace first: the trace is minus the x^(n-1) coefficient, so grids whose
-    exact traces (see _trace) differ are refuted without a polynomial.
-    """
-    if b1.n != b2.n:
-        raise ValueError("matrices of different dimension are not comparable")
-    return (_same_trace(_trace(b1), _trace(b2))
-            and poly_eq(charpoly_exact(b1), charpoly_exact(b2)))
+    """Equality of spectra of B/sqrt(n), tested exactly on scaled polynomials:
+    the unitary relation of classify, trace first, on one pair."""
+    return classify([b1, b2], "unitary") == [[0, 1]]
 
 
 def _trace(b: ButsonMatrix) -> CycInt:
@@ -468,9 +462,10 @@ def classify(mats, relation: str) -> list[list[int]]:
 
     Classes are built by _partition: ordered by first member and listed in
     input order, so the output is deterministic. The unitary relation is
-    tested trace first, as in unitary_equivalent: each matrix's polynomial
-    is computed at most once, and not at all when no matrix it is compared
-    with has its trace.
+    equality of scaled characteristic polynomials, tested trace first: the
+    trace is minus the x^(n-1) coefficient, so each matrix's polynomial is
+    computed at most once, and not at all when no matrix it is compared with
+    has its trace.
     """
     mats = list(mats)
     if not mats:

@@ -26,7 +26,6 @@ comparison, and by eig_real_symmetric, which calls LAPACK.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from itertools import combinations, permutations
@@ -174,8 +173,8 @@ def _durand_kerner(coeffs: list[complex]) -> list[complex]:
     # circle of radius 1.2 with an irrational angular offset so no iterate
     # coincides with a root or another iterate.
     n = len(coeffs) - 1
-    offset = math.sqrt(2.0) / 2.0
-    z = [1.2 * cmath.exp(1j * (2.0 * math.pi * k / n + offset)) for k in range(n)]
+    angles = [2.0 * math.pi * k / n + math.sqrt(2.0) / 2.0 for k in range(n)]
+    z = [1.2 * complex(math.cos(t), math.sin(t)) for t in angles]
     for _ in range(_DK_MAX_ITER):
         max_step = 0.0
         for i in range(n):

@@ -465,6 +465,36 @@ def test_report_is_deterministic(capsys):
     assert md1 == expected
 
 
+# The README commands, plain and with --json, and one standard miss. spectrum
+# is left out, since its digits come from the platform's libm, and report,
+# since report_golden.json and test_report_is_deterministic pin both forms.
+GOLDEN_COMMANDS = [
+    command + option
+    for command in ("catalog list", "catalog show A1", "verify A1", "charpoly A10",
+                    "dephase A10", "defect A1", "equiv standard M6 M61", "equiv unitary A01 A02")
+    for option in ("", " --json")
+] + ["equiv standard A1 F6 --json"]
+
+
+def test_stdout_matches_golden_transcript(capsys):
+    # Each command as "$ hadamard6 COMMAND", its stdout and "[exit CODE]".
+    transcript = ""
+    for command in GOLDEN_COMMANDS:
+        code, out = run(capsys, *command.split())
+        transcript += f"$ hadamard6 {command}\n{out}[exit {code}]\n"
+    assert transcript == Path(__file__).with_name("cli_golden.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command, code", [("catalog list", 0), ("equiv unitary A01 A02", 1)])
+def test_console_script_entry_point(capsys, command, code):
+    # main_entry is the console-script target of pyproject.toml: it reads
+    # sys.argv and exits with main's code.
+    proc = run_fresh(["-c", "from hadamard6.cli import main_entry; main_entry()",
+                      *command.split()], timeout=60)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert run(capsys, *command.split()) == (code, proc.stdout)
+
+
 def test_report_json_matches_golden_file(capsys):
     # The report holds no float, so its bytes do not depend on the platform's libm.
     code, out = run(capsys, "report", "--json")
@@ -613,7 +643,7 @@ def test_start_up_loads_no_parser_or_typing_module(argv, allowed):
         before = set(sys.modules)
         from hadamard6 import cli
         assert cli.main(sys.argv[1:]) == 0
-        watched = ("argparse", "gettext", "locale", "typing", "json")
+        watched = ("argparse", "gettext", "locale", "typing", "json", "cmath")
         print(" ".join(m for m in watched if m in sys.modules and m not in before))
     """)
     proc = run_fresh(["-S", "-c", script, *argv], timeout=60)

@@ -109,15 +109,20 @@ def test_classify_unitary_matches_pairwise_polynomials():
     strict=True, raises=AssertionError,
     reason="unitary_equivalent and classify(..., 'unitary') compare characteristic "
            "polynomials, which decides unitary similarity of normal grids only")
-def test_tied_non_normal_grids_are_not_unitarily_equivalent():
-    # Two BH(3, 3) grids, neither normal, with one characteristic polynomial.
-    # Unitary similarity preserves ||A^2||_F^2, which numpy reads as 27 and 18.
-    # Once the verdict tells such pairs apart this passes, and the xfail
-    # marker must go.
+@pytest.mark.parametrize("q, grids", [
+    (3, ([[0, 0, 0], [0, 0, 0], [1, 1, 1]], [[0, 0, 0], [0, 1, 1], [1, 0, 0]])),
+    (2, ([[1, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+         [[0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])),
+], ids=["3x3", "4x4"])
+def test_tied_non_normal_grids_are_not_unitarily_equivalent(q, grids):
+    # Two grids, neither normal, with one characteristic polynomial: at
+    # n = 3, q = 3 and at n = 4, q = 2 (x^4 - 2x^3 - 2x^2). Unitary
+    # similarity preserves ||A^2||_F^2, which numpy reads as 27 and 18, and
+    # as 88 and 72. Once the verdict tells such pairs apart this passes, and
+    # the xfail marker must go.
     np = pytest.importorskip("numpy")
-    grids = ([[0, 0, 0], [0, 0, 0], [1, 1, 1]], [[0, 0, 0], [0, 1, 1], [1, 0, 0]])
-    a, b = (ButsonMatrix(3, g) for g in grids)
-    squares = [np.exp(2j * np.pi * np.array(g) / 3) for g in grids]
+    a, b = (ButsonMatrix(q, g) for g in grids)
+    squares = [np.exp(2j * np.pi * np.array(g) / q) for g in grids]
     norms = [round(np.linalg.norm(m @ m) ** 2, 9) for m in squares]
     oracle = norms[0] == norms[1]
     assert unitary_equivalent(a, b) is oracle
